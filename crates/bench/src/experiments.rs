@@ -1254,14 +1254,30 @@ pub fn e16() -> Outcome {
 /// carry the *same exact closed-form counts* two orders of magnitude past
 /// the e3/e6 shapes — `t = 2^16`–`2^17` processes and `n = 2^27`–`10^8`
 /// units — while per-process engine state stays inside its 32-byte
-/// budget. Each giant cell is paired with a small cell that validates the
+/// budget and the work ledger inside its bitset-plus-overflow budget
+/// (`⌈n/8⌉ + 16` bytes per redone unit). Each giant cell is paired with a small cell that validates the
 /// identical formula on the honest grid first. Registered in [`by_id`]
 /// only, *not* in [`all`]: the giant cells are the CI scale-smoke leg,
 /// not part of the default suite. Derivations: EXPERIMENTS.md §e17.
 pub fn e17() -> Outcome {
-    let mut table =
-        Table::new(["cell", "n", "t", "work", "msgs (expect)", "rounds (expect)", "soa B/proc"]);
+    let mut table = Table::new([
+        "cell",
+        "n",
+        "t",
+        "work",
+        "msgs (expect)",
+        "rounds (expect)",
+        "soa B/proc",
+        "ledger B",
+    ]);
     let mut pass = true;
+    // The work ledger's byte budget: the done-bitset plus 16 bytes per
+    // redone unit (EXPERIMENTS.md §e17) — a per-unit counter column
+    // (4n bytes) cannot come back unnoticed.
+    let ledger = |report: &Report, n: u64| {
+        let cap = n.div_ceil(8) + 16 * report.metrics.redone_units().len() as u64;
+        (report.mem.ledger_bytes <= cap, vs(report.mem.ledger_bytes, cap))
+    };
 
     // Protocol B with every process except p0 dead at round 1: the lone
     // survivor works through the entire Figure-1 schedule alone, so the
@@ -1299,6 +1315,8 @@ pub fn e17() -> Outcome {
             && u64::from(m.crashes) == t - 1
             && m.terminations == 1
             && report.mem.soa_bytes <= 32 * t;
+        let (ledger_ok, ledger_cell) = ledger(&report, n);
+        pass &= ledger_ok;
         table.row([
             cell.to_string(),
             n.to_string(),
@@ -1307,6 +1325,7 @@ pub fn e17() -> Outcome {
             format!("{} (expect {})", m.messages, b_msgs(t)),
             format!("{} (expect {})", m.rounds, b_rounds(n, t)),
             format!("{}", report.mem.soa_bytes.div_ceil(t)),
+            ledger_cell,
         ]);
     }
 
@@ -1337,6 +1356,8 @@ pub fn e17() -> Outcome {
             && m.crashes == 0
             && u64::from(m.terminations) == t
             && report.mem.soa_bytes <= 32 * t;
+        let (ledger_ok, ledger_cell) = ledger(&report, n);
+        pass &= ledger_ok;
         table.row([
             cell.to_string(),
             n.to_string(),
@@ -1345,12 +1366,13 @@ pub fn e17() -> Outcome {
             format!("{} (expect {})", m.messages, 2 * (t - 1)),
             format!("{} (expect {})", m.rounds, rounds),
             format!("{}", report.mem.soa_bytes.div_ceil(t)),
+            ledger_cell,
         ]);
     }
 
     Outcome {
         id: "e17",
-        claim: "scale axis: exact closed-form counts survive t = 2^16..2^17 and n = 2^27..10^8 (lone-survivor B, coordinator-D), with per-process engine state <= 32 bytes",
+        claim: "scale axis: exact closed-form counts survive t = 2^16..2^17 and n = 2^27..10^8 (lone-survivor B, coordinator-D), with per-process engine state <= 32 bytes and the work ledger <= n/8 + 16 bytes per redone unit",
         rendered: table.render(),
         pass,
     }

@@ -417,7 +417,7 @@ mod tests {
         let report = run(ProtocolC::processes(8, 4).unwrap(), adv, cfg(8)).unwrap();
         assert!(report.metrics.all_work_done());
         // Unit 3 was performed by p0 (counted) and redone by the successor.
-        assert!(report.metrics.work_by_unit[2] >= 2);
+        assert!(report.metrics.units.count(Unit::new(3)) >= 2);
         bounds_hold(&report, 8, 4);
         invariants_hold(&report);
     }

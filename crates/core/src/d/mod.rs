@@ -407,6 +407,15 @@ impl ProtocolD {
         // Figure 4 line 11: more than half the previously live processes
         // died during this phase — revert to Protocol A.
         if t_prev > 2 * self.t_set.len() {
+            if !self.t_set.contains(self.j) {
+                // The agreed survivors count this process dead (it missed
+                // their messages, e.g. under receive omission): the
+                // relabeled Protocol A has no rank for it, and the agreed
+                // survivors perform `S` without it. Retire.
+                eff.terminate();
+                self.state = DState::Done;
+                return;
+            }
             eff.note("fallback");
             let survivors: Vec<u64> = self.t_set.iter().collect();
             let units: Vec<u64> = self.s.iter().collect();

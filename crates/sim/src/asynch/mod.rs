@@ -294,7 +294,8 @@ pub trait AsyncProtocol {
 /// Configuration of an asynchronous run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct AsyncConfig {
-    /// Number of work units (pre-sizes metrics).
+    /// Number of work units: sizes the work ledger, and a unit beyond it
+    /// fails the run ([`AsyncRunError::UnitOutOfRange`]).
     pub n: usize,
     /// Seed for delay randomness (runs are reproducible per seed).
     pub seed: u64,
@@ -497,6 +498,18 @@ pub enum AsyncRunError {
         /// Why the schedule was rejected.
         reason: String,
     },
+    /// A handler performed a unit outside `1..=n` — a protocol bug (or an
+    /// [`AsyncConfig::n`] smaller than the protocol's workload).
+    UnitOutOfRange {
+        /// Virtual time of the offending handler.
+        time: Time,
+        /// The process whose handler performed it.
+        pid: Pid,
+        /// The unit it performed.
+        unit: Unit,
+        /// The workload size the ledger covers.
+        n: usize,
+    },
 }
 
 impl fmt::Display for AsyncRunError {
@@ -511,6 +524,9 @@ impl fmt::Display for AsyncRunError {
             }
             AsyncRunError::InvalidAdversary { reason } => {
                 write!(f, "invalid adversary schedule: {reason}")
+            }
+            AsyncRunError::UnitOutOfRange { time, pid, unit, n } => {
+                write!(f, "time {time}: {pid} performed unit {unit}, outside 1..={n}")
             }
         }
     }
@@ -984,7 +1000,7 @@ where
     /// Folds the current buffer footprint into the peak-memory probe — the
     /// async peer of the sync engine's per-round observation. `soa` is the
     /// per-process columns, `flight` the op arena + event queue + batch
-    /// scratch, `ledger` the work table, notes, and trace.
+    /// scratch, `ledger` the work ledger, notes, and trace.
     fn observe_mem(&mut self) {
         self.mem.soa_bytes = (self.terminated.capacity()
             + self.crashed.capacity()
@@ -1002,9 +1018,8 @@ where
             as u64
             + self.queue.bytes();
         self.mem.flight_bytes = self.mem.flight_bytes.max(flight);
-        let ledger = (self.metrics.work_by_unit.capacity() * 4
-            + self.notes.capacity() * std::mem::size_of::<(Time, Pid, &'static str)>())
-            as u64
+        let ledger = self.metrics.units.bytes()
+            + (self.notes.capacity() * std::mem::size_of::<(Time, Pid, &'static str)>()) as u64
             + std::mem::size_of_val(self.trace.events()) as u64;
         self.mem.ledger_bytes = self.mem.ledger_bytes.max(ledger);
     }
@@ -1220,7 +1235,9 @@ where
             };
             if count_work {
                 for &unit in &self.eff.work {
-                    self.metrics.record_work(unit);
+                    self.metrics.record_work(unit).map_err(|unit| {
+                        AsyncRunError::UnitOutOfRange { time: now, pid, unit, n: self.cfg.n }
+                    })?;
                     if self.record {
                         self.trace.push(Event::Work { round: now, pid, unit });
                     }
@@ -1497,7 +1514,11 @@ mod tests {
         assert_eq!(report.metrics.messages, 3);
         assert_eq!(report.metrics.dead_letters, 0);
         assert_eq!(report.metrics.work_total, 1);
-        assert_eq!(report.metrics.work_by_unit[2], 1, "batch of 3 delivered in one invocation");
+        assert_eq!(
+            report.metrics.units.count(Unit::new(3)),
+            1,
+            "batch of 3 delivered in one invocation"
+        );
     }
 
     /// A crashing handler's `Deliver::Subset` filter selects recipients

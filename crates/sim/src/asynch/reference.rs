@@ -199,7 +199,12 @@ where
             let is_omit = matches!(fate, Fate::Omit(_));
             if count_work {
                 for &unit in &eff.work {
-                    metrics.record_work(unit);
+                    metrics.record_work(unit).map_err(|unit| AsyncRunError::UnitOutOfRange {
+                        time: now,
+                        pid,
+                        unit,
+                        n: cfg.n,
+                    })?;
                     if record {
                         trace.push(Event::Work { round: now, pid, unit });
                     }

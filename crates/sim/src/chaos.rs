@@ -327,10 +327,10 @@ where
 pub fn contract_violations(survivors: usize, metrics: &Metrics) -> Vec<String> {
     let mut violations = Vec::new();
     if survivors > 0 && !metrics.all_work_done() {
-        let done = metrics.work_by_unit.iter().filter(|&&c| c > 0).count();
         violations.push(format!(
-            "{survivors} survivor(s) terminated but only {done}/{} unit(s) were ever performed",
-            metrics.work_by_unit.len()
+            "{survivors} survivor(s) terminated but only {}/{} unit(s) were ever performed",
+            metrics.units.performed(),
+            metrics.units.n()
         ));
     }
     violations
@@ -699,7 +699,7 @@ mod tests {
     #[test]
     fn contract_flags_missing_work_only_with_survivors() {
         let mut metrics = Metrics::new(4);
-        metrics.record_work(crate::ids::Unit::new(1));
+        metrics.record_work(crate::ids::Unit::new(1)).unwrap();
         // No survivor: crashing everyone excuses unfinished work.
         assert!(contract_violations(0, &metrics).is_empty());
         // A survivor with unfinished work is a contract violation.
@@ -707,7 +707,7 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("1/4"), "unexpected message: {v:?}");
         for u in 2..=4 {
-            metrics.record_work(crate::ids::Unit::new(u));
+            metrics.record_work(crate::ids::Unit::new(u)).unwrap();
         }
         assert!(contract_violations(2, &metrics).is_empty());
     }

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::{Adversary, AdversaryCtx, AliveView, Fate};
 use crate::effects::{Effects, Recipients};
-use crate::ids::{Pid, Round};
+use crate::ids::{Pid, Round, Unit};
 use crate::liveset::LiveSet;
 use crate::message::{Classify, FlightOp, Inbox};
 use crate::metrics::Metrics;
@@ -49,7 +49,8 @@ impl Status {
 /// Configuration of a synchronous run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunConfig {
-    /// Number of work units (pre-sizes the per-unit multiplicity table).
+    /// Number of work units: sizes the work ledger, and a unit beyond it
+    /// fails the run ([`RunError::UnitOutOfRange`]).
     pub n: usize,
     /// Hard cap on the number of rounds; exceeding it is an error
     /// ([`RunError::RoundLimit`]). Protects against protocol bugs; set it
@@ -179,8 +180,9 @@ pub struct MemBudget {
     /// per-delivery entries, the due list, and shard lanes. Proportional
     /// to per-round traffic, not to `t`.
     pub flight_bytes: u64,
-    /// Workload-proportional ledgers: the per-unit work multiplicity table
-    /// and the recorded trace.
+    /// Workload-proportional ledgers: the work ledger
+    /// ([`WorkLedger::bytes`](crate::WorkLedger::bytes)) and the recorded
+    /// trace.
     pub ledger_bytes: u64,
     /// Shallow protocol state: `size_of::<P>() × t`.
     pub proc_bytes: u64,
@@ -328,6 +330,18 @@ pub enum RunError {
         /// Why the schedule was rejected.
         reason: String,
     },
+    /// A process performed a unit outside `1..=n` — a protocol bug (or a
+    /// [`RunConfig::n`] smaller than the protocol's workload).
+    UnitOutOfRange {
+        /// Round of the offending step.
+        round: Round,
+        /// The process that performed it (the lowest such pid that round).
+        pid: Pid,
+        /// The unit it performed.
+        unit: Unit,
+        /// The workload size the ledger covers.
+        n: usize,
+    },
 }
 
 impl fmt::Display for RunError {
@@ -347,6 +361,9 @@ impl fmt::Display for RunError {
             }
             RunError::InvalidAdversary { reason } => {
                 write!(f, "invalid adversary schedule: {reason}")
+            }
+            RunError::UnitOutOfRange { round, pid, unit, n } => {
+                write!(f, "round {round}: {pid} performed unit {unit}, outside 1..={n}")
             }
         }
     }
@@ -905,7 +922,8 @@ struct Lane<M> {
     out: Vec<FlightOp<M>>,
     route: Vec<Vec<u32>>,
     work_units: Vec<u32>,
-    work_max: u32,
+    /// The lane's first unit outside `1..=n`, with its pid.
+    bad_unit: Option<(Pid, Unit)>,
 }
 
 impl<M> Default for Lane<M> {
@@ -920,7 +938,7 @@ impl<M> Default for Lane<M> {
             out: Vec::new(),
             route: Vec::new(),
             work_units: Vec::new(),
-            work_max: 0,
+            bad_unit: None,
         }
     }
 }
@@ -928,7 +946,8 @@ impl<M> Default for Lane<M> {
 impl<M: Classify + Clone> Lane<M> {
     /// Applies this lane's fated effects into the lane-local sinks —
     /// message counting, tracing, outbound queueing with destination-shard
-    /// routing, work-unit collection — plus the surviving processes'
+    /// routing, work-unit collection (units beyond `n` are held back as
+    /// the lane's `bad_unit`) — plus the surviving processes'
     /// wakeup-cache refresh on the lane's own slices of the process table.
     /// Runs on a worker thread; determinism comes from the fold: lanes
     /// cover ascending pid chunks, so concatenating the lane sinks in lane
@@ -936,17 +955,19 @@ impl<M: Classify + Clone> Lane<M> {
     /// rulings that *other* processes can observe (retirement, live-set
     /// movement, crash counters, the adversary's own state) were already
     /// applied on the merge thread in pid order by the fate pass.
+    #[allow(clippy::too_many_arguments)]
     fn apply(
         &mut self,
         round: Round,
         record: bool,
+        n: usize,
         route_chunk: Option<usize>,
         lane_lo: usize,
         meta: &mut [u8],
         slot: &mut [u128],
     ) {
         self.work_units.clear();
-        self.work_max = 0;
+        self.bad_unit = None;
         for di in 0..self.due.len() {
             let idx = self.due[di] as usize;
             let pid = Pid::new(idx);
@@ -963,9 +984,11 @@ impl<M: Classify + Clone> Lane<M> {
             };
             if count_work {
                 if let Some(unit) = eff.work() {
-                    let u = unit.zero_based() as u32;
-                    self.work_units.push(u);
-                    self.work_max = self.work_max.max(u);
+                    if unit.get() > n {
+                        self.bad_unit.get_or_insert((pid, unit));
+                    } else {
+                        self.work_units.push(unit.zero_based() as u32);
+                    }
                     if record {
                         self.trace.push(Event::Work { round, pid, unit });
                     }
@@ -1042,11 +1065,6 @@ impl<M: Classify + Clone> Lane<M> {
 /// A threshold only picks the code path — both paths produce the identical
 /// ascending due list — so it can never affect results.
 const PAR_SCAN_MIN: usize = 4096;
-
-/// Minimum work recordings in a round before the per-unit multiplicity
-/// table is updated by range-sharded workers rather than one pass. Like
-/// [`PAR_SCAN_MIN`], path selection only.
-const PAR_WORK_MIN: usize = 4096;
 
 /// [`ProcSet::set_wakeup`] on the raw column slices a lane borrows for its
 /// contiguous pid chunk (`j` is chunk-relative).
@@ -1459,8 +1477,7 @@ where
             + (self.scan.iter().map(|s| s.capacity() * 4).sum::<usize>()) as u64
             + (self.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
         self.mem.flight_bytes = self.mem.flight_bytes.max(flight);
-        let ledger = (self.metrics.work_by_unit.capacity() * std::mem::size_of::<u32>()) as u64
-            + std::mem::size_of_val(self.trace.events()) as u64;
+        let ledger = self.metrics.units.bytes() + std::mem::size_of_val(self.trace.events()) as u64;
         self.mem.ledger_bytes = self.mem.ledger_bytes.max(ledger);
     }
 
@@ -1641,8 +1658,7 @@ where
             self.step_shards(&mut lanes, round, have_inbox);
             self.rule_fates(&mut lanes, round);
             self.apply_lanes(&mut lanes, round, route_ops);
-            self.fold_lanes(&mut lanes, route_ops);
-            self.apply_work(&mut lanes);
+            self.fold_lanes(&mut lanes, round, route_ops)?;
             self.lanes = lanes;
         } else {
             self.routes_valid = false;
@@ -1656,7 +1672,7 @@ where
                     Inbox::empty()
                 };
                 self.procs[idx].step(round, inbox, &mut eff);
-                self.settle(round, Pid::new(idx), &mut eff);
+                self.settle(round, Pid::new(idx), &mut eff)?;
                 // The step may have changed this process's timing state;
                 // refresh its cached wakeup (retired slots are never read).
                 if self.live.contains(idx) {
@@ -1800,7 +1816,7 @@ where
     /// Everything the ctx of a later pid can see — retirement, live-set
     /// movement, the crash/termination counters, recovery scheduling — is
     /// applied here, immediately per ruling; everything it cannot see
-    /// (message ledgers, traces, outbound queues, the work table, wakeup
+    /// (message ledgers, traces, outbound queues, the work ledger, wakeup
     /// caches) is deferred to the parallel [`Lane::apply`] phase.
     fn rule_fates(&mut self, lanes: &mut [Lane<P::Msg>], round: Round) {
         for lane in lanes.iter_mut() {
@@ -1850,6 +1866,7 @@ where
         let t = self.procs.len();
         let route_chunk = route_ops.then(|| t.div_ceil(self.shards));
         let record = self.record;
+        let n = self.metrics.units.n();
         let mut meta_rest = self.pset.meta.as_mut_slice();
         let mut slot_rest = self.pset.slot.as_mut_slice();
         let mut base = 0usize;
@@ -1867,7 +1884,7 @@ where
                 let (slot, tail) = tail.split_at_mut(hi - lo);
                 slot_rest = tail;
                 base = hi;
-                scope.spawn(move || lane.apply(round, record, route_chunk, lo, meta, slot));
+                scope.spawn(move || lane.apply(round, record, n, route_chunk, lo, meta, slot));
             }
         });
     }
@@ -1878,7 +1895,15 @@ where
     /// emission order, so lane-order concatenation reproduces the
     /// sequential engine's op table, trace, and counters exactly; the
     /// routed op ids are rebased from lane-local to global as they land.
-    fn fold_lanes(&mut self, lanes: &mut [Lane<P::Msg>], route_ops: bool) {
+    /// Each lane's work units go into the work ledger here, one bitset
+    /// probe per unit; the first lane holding a unit beyond `n` (so the
+    /// lowest offending pid, as on the sequential path) fails the round.
+    fn fold_lanes(
+        &mut self,
+        lanes: &mut [Lane<P::Msg>],
+        round: Round,
+        route_ops: bool,
+    ) -> Result<(), RunError> {
         if route_ops {
             if self.routes.len() < self.shards {
                 self.routes.resize_with(self.shards, Vec::new);
@@ -1886,6 +1911,9 @@ where
             self.routes.iter_mut().for_each(Vec::clear);
         }
         for lane in lanes.iter_mut() {
+            if let Some((pid, unit)) = lane.bad_unit {
+                return Err(RunError::UnitOutOfRange { round, pid, unit, n: self.cfg.n });
+            }
             let base = self.next_pending.len() as u32;
             self.next_pending.append(&mut lane.out);
             if route_ops {
@@ -1895,70 +1923,30 @@ where
             }
             self.metrics.fold_effects(&mut lane.ledger);
             self.metrics.work_total += lane.work_units.len() as u64;
+            for u in lane.work_units.drain(..) {
+                self.metrics.units.record_index(u as usize);
+            }
             if self.record {
                 self.trace.append(&mut lane.trace);
             }
         }
         self.routes_valid = route_ops;
+        Ok(())
     }
 
-    /// Applies the lanes' collected work units to the per-unit multiplicity
-    /// table — the giant-cell Amdahl term (one random-access increment per
-    /// unit of work per round). Above [`PAR_WORK_MIN`] recordings the table
-    /// is split into contiguous unit ranges, each worker streaming over
-    /// *all* lanes' units and incrementing only its own range: increments
-    /// are commutative, so the resulting table is exactly the sequential
-    /// engine's.
-    fn apply_work(&mut self, lanes: &mut [Lane<P::Msg>]) {
-        let total: usize = lanes.iter().map(|l| l.work_units.len()).sum();
-        if total == 0 {
-            return;
+    /// Counts one performed unit and traces it; a unit beyond `n` fails
+    /// the run instead.
+    fn record_work(&mut self, round: Round, pid: Pid, unit: Unit) -> Result<(), RunError> {
+        self.metrics.record_work(unit).map_err(|unit| RunError::UnitOutOfRange {
+            round,
+            pid,
+            unit,
+            n: self.cfg.n,
+        })?;
+        if self.record {
+            self.trace.push(Event::Work { round, pid, unit });
         }
-        let needed = lanes
-            .iter()
-            .filter(|l| !l.work_units.is_empty())
-            .map(|l| l.work_max as usize + 1)
-            .max()
-            .unwrap_or(0);
-        if self.metrics.work_by_unit.len() < needed {
-            self.metrics.work_by_unit.resize(needed, 0);
-        }
-        let table = &mut self.metrics.work_by_unit;
-        if total >= PAR_WORK_MIN && self.shards > 1 {
-            let chunk = table.len().div_ceil(self.shards);
-            let lanes = &*lanes;
-            let mut rest = table.as_mut_slice();
-            let mut seg_lo = 0usize;
-            std::thread::scope(|scope| {
-                while !rest.is_empty() {
-                    let take = chunk.min(rest.len());
-                    let (seg, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                    rest = tail;
-                    let lo = seg_lo;
-                    seg_lo += take;
-                    scope.spawn(move || {
-                        let hi = lo + seg.len();
-                        for lane in lanes {
-                            for &u in &lane.work_units {
-                                let u = u as usize;
-                                if u >= lo && u < hi {
-                                    seg[u - lo] += 1;
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-        } else {
-            for lane in lanes.iter() {
-                for &u in &lane.work_units {
-                    table[u as usize] += 1;
-                }
-            }
-        }
-        for lane in lanes.iter_mut() {
-            lane.work_units.clear();
-        }
+        Ok(())
     }
 
     /// Applies the adversary's ruling to one stepped process: intercept,
@@ -1967,7 +1955,12 @@ where
     /// ascending pid order, which is what keeps sharded runs bit-identical
     /// to sequential ones: adversary RNG draws, trace events, and message
     /// queue order all replay the sequential engine's exactly.
-    fn settle(&mut self, round: Round, pid: Pid, eff: &mut Effects<P::Msg>) {
+    fn settle(
+        &mut self,
+        round: Round,
+        pid: Pid,
+        eff: &mut Effects<P::Msg>,
+    ) -> Result<(), RunError> {
         let idx = pid.index();
         let ctx = AdversaryCtx {
             t: self.procs.len(),
@@ -1992,10 +1985,7 @@ where
         match fate {
             Fate::Survive => {
                 if let Some(unit) = eff.work() {
-                    self.metrics.record_work(unit);
-                    if self.record {
-                        self.trace.push(Event::Work { round, pid, unit });
-                    }
+                    self.record_work(round, pid, unit)?;
                 }
                 let terminated = eff.is_terminated();
                 let mut out = Outbound {
@@ -2022,10 +2012,7 @@ where
                 // Send-omission: the process survives and everything but
                 // the filtered sends applies.
                 if let Some(unit) = eff.work() {
-                    self.metrics.record_work(unit);
-                    if self.record {
-                        self.trace.push(Event::Work { round, pid, unit });
-                    }
+                    self.record_work(round, pid, unit)?;
                 }
                 let terminated = eff.is_terminated();
                 let total = eff.send_count() as u64;
@@ -2056,10 +2043,7 @@ where
             Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
                 if spec.count_work {
                     if let Some(unit) = eff.work() {
-                        self.metrics.record_work(unit);
-                        if self.record {
-                            self.trace.push(Event::Work { round, pid, unit });
-                        }
+                        self.record_work(round, pid, unit)?;
                     }
                 }
                 let mut out = Outbound {
@@ -2084,6 +2068,7 @@ where
                 }
             }
         }
+        Ok(())
     }
 }
 

@@ -97,6 +97,6 @@ pub use faults::{
 pub use ids::{Pid, Round, Unit};
 pub use liveset::LiveSet;
 pub use message::{Classify, Inbox, InboxIter};
-pub use metrics::Metrics;
+pub use metrics::{Metrics, WorkLedger};
 pub use protocol::Protocol;
 pub use trace::{Event, Trace};

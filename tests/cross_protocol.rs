@@ -3,6 +3,7 @@
 //! checked on each run.
 
 use doall::bounds::theorems;
+use doall::sim::chaos::contract_violations;
 use doall::sim::invariants::{
     check_activation_order, check_degraded_rate, check_no_zombie_actions, check_recovery_silence,
     check_sequential_work, check_single_active,
@@ -232,7 +233,7 @@ where
     for event in report.trace.events() {
         if let Event::Work { unit, .. } = event {
             assert!(
-                report.metrics.work_by_unit[unit.get() - 1] > 0,
+                report.metrics.units.count(*unit) > 0,
                 "{}: unit {unit} performed but reported lost",
                 scenario.label()
             );
@@ -284,6 +285,23 @@ fn protocol_d_fault_scenarios() {
     for scenario in fault_scenarios(t) {
         run_faulted(ProtocolD::processes(n, t).unwrap(), &scenario, n);
     }
+}
+
+/// Regression: a long receive-omission window on coordinator-D's
+/// coordinator left it out of the agreed survivor set just as the others
+/// fell back to Protocol A, and it panicked building a fallback machine
+/// ("fallback is only run by agreed survivors"). It must retire instead,
+/// while the agreed survivors finish the work.
+#[test]
+fn coordinator_d_process_outside_agreed_survivors_retires() {
+    let (n, t) = (1024u64, 128u64);
+    let scenario = Scenario::Omission { pid: 0, send: false, from: 5, rounds: 1024 };
+    let report = run_faulted(ProtocolD::processes_with_coordinator(n, t).unwrap(), &scenario, n);
+    let fell_back =
+        report.trace.events().iter().any(|e| matches!(e, Event::Note { tag: "fallback", .. }));
+    assert!(fell_back, "the agreed survivors ran the Protocol A fallback");
+    assert!(report.statuses[0].is_terminated(), "p0 retired: {:?}", report.statuses[0]);
+    assert!(contract_violations(report.survivor_count(), &report.metrics).is_empty());
 }
 
 #[test]

@@ -153,12 +153,7 @@ where
     let mut live = t;
     let mut metrics = Metrics::new(cfg.n);
     let record_work = |m: &mut Metrics, unit: Unit| {
-        m.work_total += 1;
-        let idx = unit.zero_based();
-        if idx >= m.work_by_unit.len() {
-            m.work_by_unit.resize(idx + 1, 0);
-        }
-        m.work_by_unit[idx] += 1;
+        m.record_work(unit).expect("reference engine: every unit lies within 1..=n");
     };
     let mut pending: Vec<(Pid, Pid, P::Msg)> = Vec::new();
     let mut next_pending: Vec<(Pid, Pid, P::Msg)> = Vec::new();

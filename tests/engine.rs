@@ -3,7 +3,7 @@
 
 use doall::sim::{
     run, Classify, CrashSchedule, CrashSpec, Deliver, Effects, Inbox, NoFailures, Pid, Protocol,
-    Round, RunConfig, Unit,
+    Round, RunConfig, RunError, Unit,
 };
 
 /// Ping-pong between two processes for a configurable number of volleys,
@@ -327,4 +327,78 @@ fn terminated_processes_stop_receiving() {
     // Pings 1 and 2 arrive after p0 retired; ping 3 is still in flight
     // when the run ends (everyone has retired), so it is never delivered.
     assert_eq!(report.metrics.dead_letters, 2);
+}
+
+/// Process `me` idles through round 1 and performs unit `me + 1` in
+/// round 2, so with more processes than units the high pids invent units
+/// beyond `n`.
+struct Inventor {
+    me: usize,
+}
+
+#[derive(Clone, Debug)]
+struct Quiet;
+impl Classify for Quiet {}
+
+impl Protocol for Inventor {
+    type Msg = Quiet;
+    fn step(&mut self, round: Round, _: Inbox<'_, Quiet>, eff: &mut Effects<Quiet>) {
+        if round == 2u64 {
+            eff.perform(Unit::new(self.me + 1));
+            eff.terminate();
+        }
+    }
+    fn next_wakeup(&self, now: Round) -> Option<Round> {
+        Some(now)
+    }
+}
+
+/// A unit beyond `n` fails the run with the lowest offending pid, on the
+/// sequential path and the sharded lane pipeline alike.
+#[test]
+fn unit_beyond_n_is_an_error_on_every_sync_path() {
+    for shards in [1, 2, 5] {
+        let procs: Vec<Inventor> = (0..6).map(|me| Inventor { me }).collect();
+        let err = run(procs, NoFailures, RunConfig::new(4, 10).with_shards(shards)).unwrap_err();
+        match err {
+            RunError::UnitOutOfRange { round, pid, unit, n } => {
+                assert_eq!((round, pid, unit, n), (Round::new(2), Pid::new(4), Unit::new(5), 4));
+            }
+            other => panic!("shards {shards}: expected UnitOutOfRange, got {other}"),
+        }
+    }
+}
+
+/// The async plane (arena engine and reference scheduler) rejects a unit
+/// beyond `n` the same way.
+#[test]
+fn unit_beyond_n_is_an_error_on_the_async_plane() {
+    use doall::sim::asynch::reference::run_async_reference;
+    use doall::sim::asynch::{run_async, AsyncConfig, AsyncEffects, AsyncProtocol, AsyncRunError};
+
+    struct AsyncInventor {
+        me: usize,
+    }
+    impl AsyncProtocol for AsyncInventor {
+        type Msg = Quiet;
+        fn on_start(&mut self, eff: &mut AsyncEffects<Quiet>) {
+            eff.perform(Unit::new(self.me + 1));
+            eff.terminate();
+        }
+        fn on_messages(&mut self, _: Inbox<'_, Quiet>, _: &mut AsyncEffects<Quiet>) {}
+        fn on_retirement(&mut self, _: Pid, _: &mut AsyncEffects<Quiet>) {}
+    }
+    let procs = || (0..3).map(|me| AsyncInventor { me }).collect::<Vec<_>>();
+    let cfg = AsyncConfig::new(2, 7);
+    for err in [
+        run_async(procs(), NoFailures, cfg.clone()).unwrap_err(),
+        run_async_reference(procs(), NoFailures, cfg.clone()).unwrap_err(),
+    ] {
+        match err {
+            AsyncRunError::UnitOutOfRange { pid, unit, n, .. } => {
+                assert_eq!((pid, unit, n), (Pid::new(2), Unit::new(3), 2));
+            }
+            other => panic!("expected UnitOutOfRange, got {other}"),
+        }
+    }
 }

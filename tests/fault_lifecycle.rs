@@ -63,7 +63,7 @@ fn sync_three_fault_lifecycle_is_pinned() {
     assert!(report.metrics.all_work_done());
     assert_eq!(report.metrics.rounds, 23u64);
     assert_eq!(report.metrics.work_total, 16);
-    assert_eq!(report.metrics.work_by_unit, vec![2u32; 8]);
+    assert_eq!(report.metrics.units.counts().collect::<Vec<_>>(), vec![2u32; 8]);
     assert_eq!(report.metrics.messages, 10);
     assert_eq!(report.metrics.omissions, 4);
     assert_eq!(report.metrics.crashes, 1);
@@ -136,7 +136,7 @@ fn async_three_fault_lifecycle_is_pinned() {
     assert!(report.metrics.all_work_done());
     assert_eq!(report.metrics.rounds, 69u64);
     assert_eq!(report.metrics.work_total, 13);
-    assert_eq!(report.metrics.work_by_unit, vec![2, 2, 2, 2, 2, 1, 1, 1]);
+    assert_eq!(report.metrics.units.counts().collect::<Vec<_>>(), vec![2, 2, 2, 2, 2, 1, 1, 1]);
     assert_eq!(report.metrics.messages, 15);
     assert_eq!(report.metrics.omissions, 1);
     assert_eq!(report.metrics.crashes, 1);

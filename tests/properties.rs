@@ -253,3 +253,87 @@ mod round_arithmetic {
         }
     }
 }
+
+/// The compact work ledger against a naive per-unit `Vec<u32>` model:
+/// random `record_work` sequences of five shapes (a few units repeated
+/// many times, a full cover, nothing done, a dense redo that promotes the
+/// overflow to a counter column, and uniform draws that leave units both
+/// missing and redone).
+mod work_ledger {
+    use doall::sim::{Metrics, Unit};
+    use proptest::prelude::*;
+
+    /// A one-based unit sequence of the given shape over `1..=n`.
+    fn sequence(n: usize, shape: u8, seed: u64) -> Vec<usize> {
+        let mut state = seed | 1;
+        let mut next = move |bound: usize| {
+            // xorshift64: enough to spread draws, deterministic per seed.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let mut seq: Vec<usize> = match shape {
+            0 => {
+                let pool: Vec<usize> = (0..1 + next(4)).map(|_| 1 + next(n)).collect();
+                (0..next(3 * n)).map(|_| pool[next(pool.len())]).collect()
+            }
+            1 => (1..=n).collect(),
+            2 => Vec::new(),
+            3 => (1..=n).flat_map(|u| std::iter::repeat_n(u, 1 + next(3))).collect(),
+            _ => (0..next(2 * n)).map(|_| 1 + next(n)).collect(),
+        };
+        for i in (1..seq.len()).rev() {
+            seq.swap(i, next(i + 1));
+        }
+        seq
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        #[test]
+        fn ledger_matches_naive_model(n in 1usize..300, shape in 0u8..5, seed in any::<u64>()) {
+            let seq = sequence(n, shape, seed);
+            let mut model = vec![0u32; n];
+            let mut metrics = Metrics::new(n);
+            for &u in &seq {
+                model[u - 1] += 1;
+                prop_assert_eq!(metrics.record_work(Unit::new(u)), Ok(()));
+            }
+            let before = metrics.clone();
+            prop_assert_eq!(metrics.record_work(Unit::new(n + 1)), Err(Unit::new(n + 1)));
+            prop_assert_eq!(&metrics, &before);
+
+            prop_assert_eq!(metrics.units.counts().collect::<Vec<_>>(), model.clone());
+            prop_assert_eq!(metrics.work_total, seq.len() as u64);
+            prop_assert_eq!(metrics.all_work_done(), model.iter().all(|&c| c > 0));
+            let missing: Vec<Unit> =
+                (1..=n).filter(|&u| model[u - 1] == 0).map(Unit::new).collect();
+            prop_assert_eq!(metrics.missing_units(), missing);
+            let redone: Vec<(Unit, u32)> =
+                (1..=n).filter(|&u| model[u - 1] > 1).map(|u| (Unit::new(u), model[u - 1])).collect();
+            let wasted: u64 = model.iter().map(|&c| u64::from(c.saturating_sub(1))).sum();
+            prop_assert_eq!(metrics.wasted_work(), wasted);
+
+            // Bytes: the bitset plus at most 16 per redone unit, and the
+            // overflow never above the 4n of a counter per unit.
+            let bitset = 8 * n.div_ceil(64) as u64;
+            prop_assert!(metrics.units.bytes() <= bitset + 16 * redone.len() as u64);
+            prop_assert!(metrics.units.bytes() - bitset <= 4 * n as u64);
+            prop_assert_eq!(metrics.redone_units(), redone);
+
+            // Equality is equality of multiplicities: the same units in
+            // ascending order give equal metrics, one more performance not.
+            let mut sorted = seq.clone();
+            sorted.sort_unstable();
+            let mut again = Metrics::new(n);
+            for &u in &sorted {
+                again.record_work(Unit::new(u)).unwrap();
+            }
+            prop_assert_eq!(&again, &metrics);
+            again.record_work(Unit::new(1 + seed as usize % n)).unwrap();
+            prop_assert_ne!(&again, &metrics);
+        }
+    }
+}
