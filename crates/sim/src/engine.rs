@@ -3,11 +3,12 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
-use crate::adversary::{Adversary, AdversaryCtx, AliveView, Fate};
-use crate::effects::{Effects, Recipients};
+use crate::adversary::{Adversary, AdversaryCtx, AliveView, Deliver, Fate};
+use crate::effects::{coalesce_runs, Effects, Recipients};
 use crate::ids::{Pid, Round, Unit};
 use crate::liveset::LiveSet;
 use crate::message::{Classify, FlightOp, Inbox};
@@ -66,14 +67,18 @@ pub struct RunConfig {
     /// window, so deep-idle protocols (Protocol C's `2^k`-round waits) are
     /// not false positives. `None` disables the watchdog.
     pub stall_window: Option<u64>,
-    /// Number of shards for parallel stepping (`None` or `Some(1)` = the
-    /// sequential engine). Sharding splits each round's due list into
-    /// contiguous pid ranges stepped on scoped worker threads; the
-    /// adversary, metrics, trace, and message queueing all run on the merge
-    /// thread in pid order, so a sharded run is **bit-identical** to the
-    /// sequential one (`tests/shard_differential.rs`) — sharding is purely
-    /// a wall-clock knob. [`RunConfig::new`] seeds this from the
-    /// `DOALL_ENGINE_SHARDS` environment variable when set.
+    /// Number of shards for parallel stepping (`None` or `Some(1)` = one
+    /// lane, no threads). Sharding cuts each round's due list into that
+    /// many contiguous pid chunks. The engine thread steps and settles the
+    /// first chunk; scoped worker threads only step the others, each into
+    /// its own effect buffers, and the engine thread then settles those
+    /// in pid order. Settling — the adversary's ruling, counts, trace,
+    /// message queueing and work — is therefore always done on one thread
+    /// in pid order, so a sharded run is **bit-identical** to an unsharded
+    /// one (`tests/shard_differential.rs`): sharding is purely a
+    /// wall-clock knob, and it parallelises `Protocol::step` only.
+    /// [`RunConfig::new`] seeds this from the `DOALL_ENGINE_SHARDS`
+    /// environment variable when set.
     pub shards: Option<NonZeroUsize>,
 }
 
@@ -177,8 +182,8 @@ pub struct MemBudget {
     /// number: it must stay ≤ 32 bytes × t regardless of n or round count.
     pub soa_bytes: u64,
     /// Peak transient state: in-flight send ops, the delivery index's
-    /// per-delivery entries, the due list, and shard lanes. Proportional
-    /// to per-round traffic, not to `t`.
+    /// per-delivery entries, the due list, and the stepping lanes' effect
+    /// buffers. Proportional to per-round traffic, not to `t`.
     pub flight_bytes: u64,
     /// Workload-proportional ledgers: the work ledger
     /// ([`WorkLedger::bytes`](crate::WorkLedger::bytes)) and the recorded
@@ -442,14 +447,6 @@ struct DeliveryIndex {
     cursor: Vec<u32>,
     index: Vec<u32>,
     touched: Vec<u32>,
-    /// Per-(message, recipient) receive-omission verdicts, in pending-op
-    /// iteration order; recycled scratch for
-    /// [`build_filtered`](DeliveryIndex::build_filtered).
-    omit: Vec<bool>,
-    /// Per-shard touched lists for
-    /// [`build_parallel`](DeliveryIndex::build_parallel); the sequential
-    /// builds use the global `touched` list and clear these.
-    shard_touched: Vec<Vec<u32>>,
 }
 
 impl DeliveryIndex {
@@ -461,44 +458,23 @@ impl DeliveryIndex {
             cursor: vec![0; t],
             index: Vec::new(),
             touched: Vec::new(),
-            omit: Vec::new(),
-            shard_touched: Vec::new(),
         }
-    }
-
-    /// Starts a new build generation; handles the u32 wrap exactly.
-    fn next_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
-    }
-
-    /// Turns the per-recipient tallies accumulated in `cursor` into CSR
-    /// offsets and resets each cursor to its inbox start, sizing `index`
-    /// for the fill pass.
-    fn finish_counts(&mut self) {
-        let mut cum: u32 = 0;
-        for &i in &self.touched {
-            let i = i as usize;
-            let count = self.cursor[i];
-            self.offset[i] = cum;
-            self.cursor[i] = cum;
-            cum += count;
-        }
-        self.index.clear();
-        self.index.resize(cum as usize, 0);
     }
 
     /// Builds the index for this round from the in-flight ops, intersecting
     /// every span with the live set: dead recipients never enter the index
     /// (they are tallied as dead letters), so delivery work is proportional
-    /// to *live* deliveries plus ops. Returns the dead-letter count.
+    /// to *live* deliveries plus ops. Two passes: count each live
+    /// recipient's deliveries, turn the counts into CSR offsets, then fill
+    /// the op ids in ascending order. Returns the dead-letter count.
     fn build<M>(&mut self, pending: &[FlightOp<M>], live: &LiveSet) -> u64 {
-        self.next_epoch();
+        // A new build generation; the u32 wrap is handled exactly.
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
         self.touched.clear();
-        self.shard_touched.iter_mut().for_each(Vec::clear);
         let mut dead: u64 = 0;
         for op in pending {
             for p in op.to.iter() {
@@ -515,7 +491,16 @@ impl DeliveryIndex {
                 }
             }
         }
-        self.finish_counts();
+        let mut cum: u32 = 0;
+        for &i in &self.touched {
+            let i = i as usize;
+            let count = self.cursor[i];
+            self.offset[i] = cum;
+            self.cursor[i] = cum;
+            cum += count;
+        }
+        self.index.clear();
+        self.index.resize(cum as usize, 0);
         for (id, op) in pending.iter().enumerate() {
             for p in op.to.iter() {
                 let i = p.index();
@@ -528,177 +513,10 @@ impl DeliveryIndex {
         dead
     }
 
-    /// Builds the index in parallel by contiguous recipient range: each of
-    /// `shards` worker threads counts and fills the inboxes of its own pid
-    /// range (`chunk = ⌈t/shards⌉` pids), with one prefix-sum over the
-    /// shard boundaries between the two passes. Span recipients are
-    /// intersected with each shard's range in O(1) per op, and dead-letter
-    /// tallies are accumulated per shard and summed — every recipient
-    /// belongs to exactly one shard, so nothing is double-counted.
-    ///
-    /// When `routes` is given (the two-phase exchange: last round's step
-    /// lanes bucketed their emitted ops by destination shard), shard `k`
-    /// scans only the op ids routed to it, in ascending op-id order;
-    /// otherwise every shard scans the whole op table. Either way, each
-    /// recipient's inbox lists op ids in ascending order — exactly the
-    /// order the sequential [`build`](DeliveryIndex::build) produces — so
-    /// inbox iteration, and therefore every protocol step, is
-    /// bit-identical to the sequential engine's. Returns the dead-letter
-    /// count.
-    fn build_parallel<M: Sync>(
-        &mut self,
-        pending: &[FlightOp<M>],
-        live: &LiveSet,
-        routes: Option<&[Vec<u32>]>,
-        shards: usize,
-    ) -> u64 {
-        self.next_epoch();
-        self.touched.clear();
-        let t = self.stamp.len();
-        let chunk = t.div_ceil(shards);
-        if self.shard_touched.len() < shards {
-            self.shard_touched.resize_with(shards, Vec::new);
-        }
-        let epoch = self.epoch;
-        let mut deads = vec![0u64; shards];
-        let mut totals = vec![0u32; shards];
-
-        // Pass 1: count, per recipient range. Each worker owns its range's
-        // slices of the stamp/cursor columns.
-        {
-            let mut stamp_rest = self.stamp.as_mut_slice();
-            let mut cursor_rest = self.cursor.as_mut_slice();
-            let mut touched_it = self.shard_touched.iter_mut();
-            let mut dead_it = deads.iter_mut();
-            let mut total_it = totals.iter_mut();
-            std::thread::scope(|scope| {
-                for k in 0..shards {
-                    let lo = (k * chunk).min(t);
-                    let hi = ((k + 1) * chunk).min(t);
-                    let (stamp, rest) = std::mem::take(&mut stamp_rest).split_at_mut(hi - lo);
-                    stamp_rest = rest;
-                    let (cursor, rest) = std::mem::take(&mut cursor_rest).split_at_mut(hi - lo);
-                    cursor_rest = rest;
-                    let touched = touched_it.next().expect("sized above");
-                    let dead = dead_it.next().expect("sized above");
-                    let total = total_it.next().expect("sized above");
-                    let ops = routes.map(|r| r[k].as_slice());
-                    scope.spawn(move || {
-                        touched.clear();
-                        let mut count_one = |i: usize| {
-                            if live.contains(i) {
-                                let j = i - lo;
-                                if stamp[j] != epoch {
-                                    stamp[j] = epoch;
-                                    cursor[j] = 0;
-                                    touched.push(i as u32);
-                                }
-                                cursor[j] += 1;
-                                *total += 1;
-                            } else {
-                                *dead += 1;
-                            }
-                        };
-                        let mut scan = |op: &FlightOp<M>| match op.to {
-                            Recipients::One(p) => {
-                                let i = p.index();
-                                if i >= lo && i < hi {
-                                    count_one(i);
-                                }
-                            }
-                            Recipients::Span { lo: slo, hi: shi } => {
-                                for i in slo.max(lo)..shi.min(hi) {
-                                    count_one(i);
-                                }
-                            }
-                        };
-                        match ops {
-                            Some(ids) => ids.iter().for_each(|&id| scan(&pending[id as usize])),
-                            None => pending.iter().for_each(&mut scan),
-                        }
-                    });
-                }
-            });
-        }
-
-        // Prefix-sum over the shard boundaries, then size the id table.
-        let grand: u32 = totals.iter().sum();
-        self.index.clear();
-        self.index.resize(grand as usize, 0);
-
-        // Pass 2: offsets + fill, per recipient range, each worker writing
-        // its own contiguous segment of the id table.
-        {
-            let mut stamp_rest = self.stamp.as_slice();
-            let mut offset_rest = self.offset.as_mut_slice();
-            let mut cursor_rest = self.cursor.as_mut_slice();
-            let mut index_rest = self.index.as_mut_slice();
-            let mut touched_it = self.shard_touched.iter();
-            let mut seg_start: u32 = 0;
-            std::thread::scope(|scope| {
-                for k in 0..shards {
-                    let lo = (k * chunk).min(t);
-                    let hi = ((k + 1) * chunk).min(t);
-                    let (stamp, rest) = stamp_rest.split_at(hi - lo);
-                    stamp_rest = rest;
-                    let (offset, rest) = std::mem::take(&mut offset_rest).split_at_mut(hi - lo);
-                    offset_rest = rest;
-                    let (cursor, rest) = std::mem::take(&mut cursor_rest).split_at_mut(hi - lo);
-                    cursor_rest = rest;
-                    let (seg, rest) =
-                        std::mem::take(&mut index_rest).split_at_mut(totals[k] as usize);
-                    index_rest = rest;
-                    let touched = touched_it.next().expect("sized above");
-                    let base = seg_start;
-                    seg_start += totals[k];
-                    let ops = routes.map(|r| r[k].as_slice());
-                    scope.spawn(move || {
-                        // Counts → absolute CSR offsets within this shard's
-                        // segment (offsets are global; `seg` is base-relative).
-                        let mut cum = base;
-                        for &i in touched {
-                            let j = i as usize - lo;
-                            let count = cursor[j];
-                            offset[j] = cum;
-                            cursor[j] = cum;
-                            cum += count;
-                        }
-                        let mut fill_one = |i: usize, id: u32| {
-                            let j = i - lo;
-                            if stamp[j] == epoch {
-                                seg[(cursor[j] - base) as usize] = id;
-                                cursor[j] += 1;
-                            }
-                        };
-                        let mut fill = |id: u32| match pending[id as usize].to {
-                            Recipients::One(p) => {
-                                let i = p.index();
-                                if i >= lo && i < hi {
-                                    fill_one(i, id);
-                                }
-                            }
-                            Recipients::Span { lo: slo, hi: shi } => {
-                                for i in slo.max(lo)..shi.min(hi) {
-                                    fill_one(i, id);
-                                }
-                            }
-                        };
-                        match ops {
-                            Some(ids) => ids.iter().for_each(|&id| fill(id)),
-                            None => (0..pending.len() as u32).for_each(&mut fill),
-                        }
-                    });
-                }
-            });
-        }
-        deads.iter().sum()
-    }
-
     /// Whether the most recent build addressed at least one live recipient
-    /// (the watchdog's "a delivery happened" signal), regardless of which
-    /// build path produced it.
+    /// (the watchdog's "a delivery happened" signal).
     fn delivered(&self) -> bool {
-        !self.touched.is_empty() || self.shard_touched.iter().any(|s| !s.is_empty())
+        !self.touched.is_empty()
     }
 
     /// Whether recipient `i` was addressed by a live delivery in the most
@@ -721,69 +539,6 @@ impl DeliveryIndex {
         }
     }
 
-    /// [`build`](DeliveryIndex::build) with a receive-omission filter: the
-    /// adversary is consulted exactly once per (message, recipient) — in
-    /// the first pass, with the verdicts replayed from scratch in the
-    /// second — and suppressed deliveries never enter the index. Dead
-    /// recipients are classified first (a message to a retired process is
-    /// a dead letter, never an omission). When `trace` is given, each
-    /// suppressed delivery leaves a `"fault:omit"` note at the recipient —
-    /// the receive-omission symptom. Returns (dead letters, omitted).
-    fn build_filtered<M, A: Adversary<M>>(
-        &mut self,
-        round: Round,
-        pending: &[FlightOp<M>],
-        live: &LiveSet,
-        adversary: &mut A,
-        mut trace: Option<&mut Trace>,
-    ) -> (u64, u64) {
-        self.next_epoch();
-        self.touched.clear();
-        self.shard_touched.iter_mut().for_each(Vec::clear);
-        self.omit.clear();
-        let mut dead: u64 = 0;
-        let mut omitted: u64 = 0;
-        for op in pending {
-            for p in op.to.iter() {
-                let i = p.index();
-                if !live.contains(i) {
-                    dead += 1;
-                    self.omit.push(false);
-                    continue;
-                }
-                let drop = adversary.omits_delivery(round, op.from, p);
-                self.omit.push(drop);
-                if drop {
-                    omitted += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.push(Event::Note { round, pid: p, tag: "fault:omit" });
-                    }
-                    continue;
-                }
-                if self.stamp[i] != self.epoch {
-                    self.stamp[i] = self.epoch;
-                    self.cursor[i] = 0;
-                    self.touched.push(i as u32);
-                }
-                self.cursor[i] += 1;
-            }
-        }
-        self.finish_counts();
-        let mut k = 0usize;
-        for (id, op) in pending.iter().enumerate() {
-            for p in op.to.iter() {
-                let i = p.index();
-                let drop = self.omit[k];
-                k += 1;
-                if live.contains(i) && !drop {
-                    self.index[self.cursor[i] as usize] = id as u32;
-                    self.cursor[i] += 1;
-                }
-            }
-        }
-        (dead, omitted)
-    }
-
     /// Bytes in the pid-indexed columns (counted against the SoA budget).
     fn soa_bytes(&self) -> u64 {
         ((self.stamp.capacity() + self.offset.capacity() + self.cursor.capacity())
@@ -792,10 +547,7 @@ impl DeliveryIndex {
 
     /// Bytes in the per-delivery scratch (counted as flight state).
     fn flight_bytes(&self) -> u64 {
-        (self.index.capacity() * 4
-            + self.touched.capacity() * 4
-            + self.shard_touched.iter().map(|s| s.capacity() * 4).sum::<usize>()
-            + self.omit.capacity()) as u64
+        ((self.index.capacity() + self.touched.capacity()) * 4) as u64
     }
 }
 
@@ -903,182 +655,9 @@ impl ProcSet {
     }
 }
 
-/// Per-shard scratch for parallel stepping: the shard's slice of the due
-/// list, one recycled [`Effects`] buffer per due process, the post-step
-/// wakeup candidates, and — for the parallel effect-application phase —
-/// the lane-local sinks: an adversary fate per due process, a thread-local
-/// [`Metrics`] ledger, a thread-local [`Trace`], the lane's fragment of
-/// next round's in-flight ops, the destination-shard routing buckets of
-/// the two-phase exchange, and the units of work performed. Lanes are
-/// long-lived (capacity survives across rounds); only the portion covering
-/// this round's chunk is touched.
-struct Lane<M> {
-    due: Vec<u32>,
-    eff: Vec<Effects<M>>,
-    wake: Vec<Option<Round>>,
-    fate: Vec<Fate>,
-    ledger: Metrics,
-    trace: Trace,
-    out: Vec<FlightOp<M>>,
-    route: Vec<Vec<u32>>,
-    work_units: Vec<u32>,
-    /// The lane's first unit outside `1..=n`, with its pid.
-    bad_unit: Option<(Pid, Unit)>,
-}
-
-impl<M> Default for Lane<M> {
-    fn default() -> Self {
-        Lane {
-            due: Vec::new(),
-            eff: Vec::new(),
-            wake: Vec::new(),
-            fate: Vec::new(),
-            ledger: Metrics::default(),
-            trace: Trace::new(),
-            out: Vec::new(),
-            route: Vec::new(),
-            work_units: Vec::new(),
-            bad_unit: None,
-        }
-    }
-}
-
-impl<M: Classify + Clone> Lane<M> {
-    /// Applies this lane's fated effects into the lane-local sinks —
-    /// message counting, tracing, outbound queueing with destination-shard
-    /// routing, work-unit collection (units beyond `n` are held back as
-    /// the lane's `bad_unit`) — plus the surviving processes'
-    /// wakeup-cache refresh on the lane's own slices of the process table.
-    /// Runs on a worker thread; determinism comes from the fold: lanes
-    /// cover ascending pid chunks, so concatenating the lane sinks in lane
-    /// order reproduces the sequential engine's effect order exactly. All
-    /// rulings that *other* processes can observe (retirement, live-set
-    /// movement, crash counters, the adversary's own state) were already
-    /// applied on the merge thread in pid order by the fate pass.
-    #[allow(clippy::too_many_arguments)]
-    fn apply(
-        &mut self,
-        round: Round,
-        record: bool,
-        n: usize,
-        route_chunk: Option<usize>,
-        lane_lo: usize,
-        meta: &mut [u8],
-        slot: &mut [u128],
-    ) {
-        self.work_units.clear();
-        self.bad_unit = None;
-        for di in 0..self.due.len() {
-            let idx = self.due[di] as usize;
-            let pid = Pid::new(idx);
-            let eff = &mut self.eff[di];
-            let fate = &self.fate[di];
-            if record {
-                for tag in eff.notes() {
-                    self.trace.push(Event::Note { round, pid, tag });
-                }
-            }
-            let count_work = match fate {
-                Fate::Survive | Fate::Omit(_) => true,
-                Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => spec.count_work,
-            };
-            if count_work {
-                if let Some(unit) = eff.work() {
-                    if unit.get() > n {
-                        self.bad_unit.get_or_insert((pid, unit));
-                    } else {
-                        self.work_units.push(unit.zero_based() as u32);
-                    }
-                    if record {
-                        self.trace.push(Event::Work { round, pid, unit });
-                    }
-                }
-            }
-            // The omission ledger reads must precede the `Outbound` borrow
-            // of the ledger.
-            let (total, before) = match fate {
-                Fate::Omit(_) => (eff.send_count() as u64, self.ledger.messages),
-                _ => (0, 0),
-            };
-            let mut out = Outbound {
-                metrics: &mut self.ledger,
-                trace: &mut self.trace,
-                record,
-                next_pending: &mut self.out,
-                round,
-                route: route_chunk.map(|chunk| (&mut self.route, chunk)),
-            };
-            match fate {
-                Fate::Survive => {
-                    let terminated = eff.is_terminated();
-                    for op in eff.drain_sends() {
-                        out.deliver(pid, op.to, op.payload);
-                    }
-                    if terminated {
-                        if record {
-                            self.trace.push(Event::Terminate { round, pid });
-                        }
-                    } else {
-                        set_wakeup_raw(meta, slot, idx - lane_lo, self.wake[di]);
-                    }
-                }
-                Fate::Omit(filter) => {
-                    let terminated = eff.is_terminated();
-                    out.deliver_crash_subset(pid, eff, filter);
-                    let suppressed = total - (self.ledger.messages - before);
-                    self.ledger.omissions += suppressed;
-                    if record && suppressed > 0 {
-                        self.trace.push(Event::Note { round, pid, tag: "fault:omit" });
-                    }
-                    if terminated {
-                        if record {
-                            self.trace.push(Event::Terminate { round, pid });
-                        }
-                    } else {
-                        set_wakeup_raw(meta, slot, idx - lane_lo, self.wake[di]);
-                    }
-                }
-                Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
-                    out.deliver_crash_subset(pid, eff, &spec.deliver);
-                    if record {
-                        self.trace.push(Event::Crash { round, pid });
-                    }
-                }
-            }
-        }
-    }
-
-    /// Shallow bytes held by this lane's buffers.
-    fn bytes(&self) -> u64 {
-        (self.due.capacity() * 4
-            + self.eff.capacity() * std::mem::size_of::<Effects<M>>()
-            + self.wake.capacity() * std::mem::size_of::<Option<Round>>()
-            + self.fate.capacity() * std::mem::size_of::<Fate>()
-            + self.out.capacity() * std::mem::size_of::<FlightOp<M>>()
-            + self.route.iter().map(|r| r.capacity() * 4).sum::<usize>()
-            + self.work_units.capacity() * 4) as u64
-    }
-}
-
-/// Minimum live processes *per shard* before the due-scan forks worker
-/// threads: below this, one pass over the bitset beats the spawn cost.
-/// A threshold only picks the code path — both paths produce the identical
-/// ascending due list — so it can never affect results.
-const PAR_SCAN_MIN: usize = 4096;
-
-/// [`ProcSet::set_wakeup`] on the raw column slices a lane borrows for its
-/// contiguous pid chunk (`j` is chunk-relative).
-fn set_wakeup_raw(meta: &mut [u8], slot: &mut [u128], j: usize, wake: Option<Round>) {
-    match wake {
-        Some(r) => {
-            meta[j] |= PS_WAKE;
-            slot[j] = r.get();
-        }
-        None => {
-            meta[j] &= !PS_WAKE;
-        }
-    }
-}
+/// A stepping lane's scratch (see [`Engine::step_due`]): one recycled
+/// effect buffer and post-step wakeup per process of the lane's due chunk.
+type Lane<M> = Vec<(Effects<M>, Option<Round>)>;
 
 /// Like [`run`], but also hands back the final per-process protocol states,
 /// for protocols whose outcome lives in process state (e.g. the decision
@@ -1254,26 +833,17 @@ pub struct Engine<P: Protocol, A: Adversary<P::Msg>> {
     // Scratch buffers, allocated once and recycled every round; excluded
     // from snapshots and rebuilt on resume. In steady state the loop
     // performs no allocation: `eff` is reset (not rebuilt), the two op
-    // buffers swap roles each round, the due list and shard lanes are
-    // refilled in place, and the delivery index grows only to the
-    // high-water mark of per-round live deliveries. The in-flight buffers
-    // hold send *ops* (payload stored once per broadcast), never
-    // per-recipient envelopes.
+    // buffers swap roles each round, the due list and the stepping lanes'
+    // effect buffers are refilled in place, and the delivery index grows
+    // only to the high-water mark of per-round live deliveries. The
+    // in-flight buffers hold send *ops* (payload stored once per
+    // broadcast), never per-recipient envelopes.
     due: Vec<u32>,
     eff: Effects<P::Msg>,
+    // Lanes 1..k−1 of a sharded round (lane 0 uses `eff`).
     lanes: Vec<Lane<P::Msg>>,
     next_pending: Vec<FlightOp<P::Msg>>,
     delivery: DeliveryIndex,
-    // Two-phase-exchange routing: per-destination-shard op-id lists over
-    // `pending`, built by last round's lanes (phase one) and consumed by
-    // the parallel inbox build (phase two). `routes_valid` is false
-    // whenever `pending` was produced by a path that did not route (the
-    // sequential settle path, or a resume) — the parallel build then
-    // falls back to scanning the whole op table, with identical results.
-    routes: Vec<Vec<u32>>,
-    routes_valid: bool,
-    // Per-shard due-list fragments for the parallel due-scan.
-    scan: Vec<Vec<u32>>,
 }
 
 impl<P, A> Engine<P, A>
@@ -1320,9 +890,6 @@ where
             lanes: Vec::new(),
             next_pending: Vec::new(),
             delivery: DeliveryIndex::new(t),
-            routes: Vec::new(),
-            routes_valid: false,
-            scan: Vec::new(),
             procs,
             adversary,
             cfg,
@@ -1424,9 +991,6 @@ where
             lanes: Vec::new(),
             next_pending: Vec::new(),
             delivery: DeliveryIndex::new(t),
-            routes: Vec::new(),
-            routes_valid: false,
-            scan: Vec::new(),
         }
     }
 
@@ -1472,9 +1036,8 @@ where
             + ((self.pending.capacity() + self.next_pending.capacity())
                 * std::mem::size_of::<FlightOp<P::Msg>>()) as u64
             + (self.due.capacity() * 4) as u64
-            + self.lanes.iter().map(Lane::bytes).sum::<u64>()
-            + (self.routes.iter().map(|r| r.capacity() * 4).sum::<usize>()) as u64
-            + (self.scan.iter().map(|s| s.capacity() * 4).sum::<usize>()) as u64
+            + (self.lanes.iter().map(Vec::capacity).sum::<usize>()
+                * std::mem::size_of::<(Effects<P::Msg>, Option<Round>)>()) as u64
             + (self.revive.len() * std::mem::size_of::<(u32, Round, bool)>()) as u64;
         self.mem.flight_bytes = self.mem.flight_bytes.max(flight);
         let ledger = self.metrics.units.bytes() + std::mem::size_of_val(self.trace.events()) as u64;
@@ -1532,29 +1095,15 @@ where
 
         // 1. Deliver last round's messages: index the in-flight ops by live
         //    recipient; spans are intersected with the live set and dead
-        //    recipients become dead letters without ever materializing.
+        //    recipients become dead letters without ever materializing. A
+        //    receive-omission adversary first cuts its suppressed
+        //    deliveries out of the op table.
+        if !self.pending.is_empty() && self.adversary.filters_deliveries() {
+            self.omit_deliveries(round);
+        }
         let have_inbox = !self.pending.is_empty();
         if have_inbox {
-            if self.adversary.filters_deliveries() {
-                let (dead, omitted) = self.delivery.build_filtered(
-                    round,
-                    &self.pending,
-                    &self.live,
-                    &mut self.adversary,
-                    self.record.then_some(&mut self.trace),
-                );
-                self.metrics.dead_letters += dead;
-                self.metrics.omissions += omitted;
-            } else if self.shards > 1 && self.pending.len() >= self.shards {
-                // Sharded inbox build, consuming last round's
-                // destination-shard routes when the lanes produced them.
-                let routes = (self.routes_valid && self.routes.len() >= self.shards)
-                    .then(|| &self.routes[..self.shards]);
-                self.metrics.dead_letters +=
-                    self.delivery.build_parallel(&self.pending, &self.live, routes, self.shards);
-            } else {
-                self.metrics.dead_letters += self.delivery.build(&self.pending, &self.live);
-            }
+            self.metrics.dead_letters += self.delivery.build(&self.pending, &self.live);
         }
         // A delivery to at least one live, non-omitted recipient counts as
         // observable progress for the watchdog.
@@ -1575,43 +1124,7 @@ where
         //    and, when sharding, stepped on worker threads without changing
         //    which processes run or what they observe.
         self.due.clear();
-        if self.shards > 1 && self.live.len() >= self.shards * PAR_SCAN_MIN {
-            // Range-sharded scan: worker k walks the live pids of its own
-            // contiguous pid range; concatenating the fragments in range
-            // order yields exactly the ascending due list the sequential
-            // scan produces.
-            let t = self.procs.len();
-            let chunk = t.div_ceil(self.shards);
-            if self.scan.len() < self.shards {
-                self.scan.resize_with(self.shards, Vec::new);
-            }
-            {
-                let pset = &self.pset;
-                let delivery = &self.delivery;
-                let live = &self.live;
-                std::thread::scope(|scope| {
-                    for (k, frag) in self.scan.iter_mut().enumerate().take(self.shards) {
-                        let lo = (k * chunk).min(t);
-                        let hi = ((k + 1) * chunk).min(t);
-                        scope.spawn(move || {
-                            frag.clear();
-                            for i in live.ones_range(lo, hi) {
-                                if adv_due
-                                    || (have_inbox && delivery.has_inbox(i))
-                                    || pset.wakeup_due(i, round)
-                                {
-                                    frag.push(i as u32);
-                                }
-                            }
-                        });
-                    }
-                });
-            }
-            for k in 0..self.shards {
-                let frag = &mut self.scan[k];
-                self.due.append(frag);
-            }
-        } else {
+        {
             let pset = &self.pset;
             let delivery = &self.delivery;
             let due = &mut self.due;
@@ -1622,66 +1135,8 @@ where
             }
         }
 
-        // 3. Step every due process and let the adversary rule on it. The
-        //    sharded path steps disjoint contiguous chunks in parallel and
-        //    then settles in pid order on this thread; the sequential path
-        //    interleaves step and settle per process. Both produce
-        //    bit-identical traces, metrics, and message order.
-        let next = round.saturating_add(1);
-        if self.shards > 1 && self.due.len() >= self.shards {
-            // Route ops by destination shard only when next round's inbox
-            // build can be sharded too (a filtering adversary forces the
-            // sequential filtered build, which scans the whole table).
-            let route_ops = !self.adversary.filters_deliveries();
-            let mut lanes = std::mem::take(&mut self.lanes);
-            if lanes.len() < self.shards {
-                lanes.resize_with(self.shards, Lane::default);
-            }
-            let (s, len) = (self.shards, self.due.len());
-            for (k, lane) in lanes.iter_mut().enumerate() {
-                lane.due.clear();
-                lane.fate.clear();
-                if k < s {
-                    lane.due.extend_from_slice(&self.due[k * len / s..(k + 1) * len / s]);
-                }
-                let chunk = lane.due.len();
-                if lane.eff.len() < chunk {
-                    lane.eff.resize_with(chunk, Effects::new);
-                }
-                if lane.wake.len() < chunk {
-                    lane.wake.resize(chunk, None);
-                }
-                if lane.route.len() < s {
-                    lane.route.resize_with(s, Vec::new);
-                }
-            }
-            self.step_shards(&mut lanes, round, have_inbox);
-            self.rule_fates(&mut lanes, round);
-            self.apply_lanes(&mut lanes, round, route_ops);
-            self.fold_lanes(&mut lanes, round, route_ops)?;
-            self.lanes = lanes;
-        } else {
-            self.routes_valid = false;
-            let mut eff = std::mem::replace(&mut self.eff, Effects::new());
-            for di in 0..self.due.len() {
-                let idx = self.due[di] as usize;
-                eff.reset();
-                let inbox = if have_inbox && self.delivery.has_inbox(idx) {
-                    self.delivery.inbox(idx, &self.pending)
-                } else {
-                    Inbox::empty()
-                };
-                self.procs[idx].step(round, inbox, &mut eff);
-                self.settle(round, Pid::new(idx), &mut eff)?;
-                // The step may have changed this process's timing state;
-                // refresh its cached wakeup (retired slots are never read).
-                if self.live.contains(idx) {
-                    let wake = self.procs[idx].next_wakeup(next).map(|w| w.max(next));
-                    self.pset.set_wakeup(idx, wake);
-                }
-            }
-            self.eff = eff;
-        }
+        // 3. Step every due process and let the adversary rule on it.
+        self.step_due(round, have_inbox)?;
 
         self.observe_mem();
 
@@ -1731,6 +1186,7 @@ where
         // saturated wakeup (`Round::MAX`) is a legal target: a deadline
         // past the representable horizon fires *at* the horizon, exactly
         // as the old 64-bit clock fired saturated deadlines at `u64::MAX`.
+        let next = round.saturating_add(1);
         let advanced = if self.pending.is_empty() {
             let wake = {
                 let pset = &self.pset;
@@ -1761,381 +1217,263 @@ where
         Ok(())
     }
 
-    /// Steps the lanes' due chunks on scoped worker threads. Shard threads
-    /// touch only disjoint `&mut [P]` slices of the process table (the due
-    /// list is ascending, so successive chunks split off successive slice
-    /// tails) plus shared read-only views of the delivery index and the
-    /// in-flight ops; every engine-state mutation — adversary ruling,
-    /// metrics, trace, outbound queueing — happens afterwards on the merge
-    /// thread, in [`settle`](Engine::settle). Each worker also precomputes
-    /// its processes' post-step wakeups; the merge thread installs them
-    /// only for processes the adversary leaves alive.
-    fn step_shards(&mut self, lanes: &mut [Lane<P::Msg>], round: Round, have_inbox: bool) {
-        let next = round.saturating_add(1);
-        let delivery = &self.delivery;
-        let pending = &self.pending[..];
-        let mut rest = self.procs.as_mut_slice();
-        let mut base = 0usize;
-        std::thread::scope(|scope| {
-            for lane in lanes.iter_mut() {
-                if lane.due.is_empty() {
-                    continue;
+    /// Receive omission, ahead of the inbox build: the adversary rules
+    /// once per live (message, recipient), in pending order, and each op
+    /// is cut into the runs of recipients it lets through — dead
+    /// recipients stay in, for the build to tally as dead letters. Each
+    /// suppressed delivery counts as an omission and, when tracing, leaves
+    /// a `"fault:omit"` note at the recipient: the receive-omission
+    /// symptom.
+    fn omit_deliveries(&mut self, round: Round) {
+        let Engine { adversary, live, metrics, trace, record, pending, next_pending, .. } = self;
+        for op in pending.drain(..) {
+            let from = op.from;
+            let keep = |p: &Pid| {
+                if !live.contains(p.index()) || !adversary.omits_delivery(round, from, *p) {
+                    return true;
                 }
-                let lo = lane.due[0] as usize;
-                let hi = *lane.due.last().expect("nonempty chunk") as usize + 1;
-                let tail = std::mem::take(&mut rest);
-                let (_, tail) = tail.split_at_mut(lo - base);
-                let (chunk, tail) = tail.split_at_mut(hi - lo);
+                metrics.omissions += 1;
+                if *record {
+                    trace.push(Event::Note { round, pid: *p, tag: "fault:omit" });
+                }
+                false
+            };
+            coalesce_runs(op.to.iter().filter(keep), op.payload, |run, payload| {
+                next_pending.push(FlightOp { from, to: recipients(run), payload });
+            });
+        }
+        std::mem::swap(pending, next_pending);
+    }
+
+    /// Steps every due process and settles it, in pid order. The due list
+    /// is cut into `k = min(shards, due)` contiguous chunks, or *lanes*.
+    /// Lane 0 is this thread: it steps and settles each of its processes
+    /// in turn, so `shards = 1` is lane 0 alone, with no effect buffers
+    /// and no thread. Lanes 1..k−1 only step, on scoped threads, each on
+    /// its own disjoint slice of the process table and into its own
+    /// effect buffers, while lane 0 runs; this thread then settles them
+    /// in lane order. The chunks ascend, so settling follows the pid
+    /// order of a sequential run — and with it every adversary ruling,
+    /// trace event, queued message and unit of work.
+    fn step_due(&mut self, round: Round, have_inbox: bool) -> Result<(), RunError> {
+        let next = round.saturating_add(1);
+        let Engine {
+            procs,
+            adversary,
+            cfg,
+            pset,
+            live,
+            metrics,
+            trace,
+            record,
+            pending,
+            revive,
+            next_revive,
+            shards,
+            due,
+            eff,
+            lanes,
+            next_pending,
+            delivery,
+            ..
+        } = self;
+        let t = procs.len();
+        let mut ruling = Ruling {
+            adversary,
+            pset,
+            live,
+            metrics,
+            trace,
+            next_pending,
+            revive,
+            next_revive,
+            record: *record,
+            round,
+            t,
+            n: cfg.n,
+        };
+        let (delivery, pending, due) = (&*delivery, &pending[..], &due[..]);
+        let step = move |proc: &mut P, idx: usize, eff: &mut Effects<P::Msg>| {
+            eff.reset();
+            let inbox = if have_inbox && delivery.has_inbox(idx) {
+                delivery.inbox(idx, pending)
+            } else {
+                Inbox::empty()
+            };
+            proc.step(round, inbox, eff);
+            proc.next_wakeup(next).map(|w| w.max(next))
+        };
+        let k = (*shards).min(due.len()).max(1);
+        let chunk = |l: usize| &due[l * due.len() / k..(l + 1) * due.len() / k];
+        let (head, mut rest) = procs.split_at_mut(if k > 1 { chunk(1)[0] as usize } else { t });
+        let base = head.len();
+        let mut lane0 = || {
+            for &p in chunk(0) {
+                let idx = p as usize;
+                let wake = step(&mut head[idx], idx, eff);
+                ruling.settle(Pid::new(idx), eff, wake)?;
+            }
+            Ok(())
+        };
+        if k == 1 {
+            return lane0();
+        }
+        if lanes.len() < k - 1 {
+            lanes.resize_with(k - 1, Vec::new);
+        }
+        std::thread::scope(|scope| {
+            let mut lo = base;
+            for (l, lane) in lanes.iter_mut().enumerate().take(k - 1) {
+                let ids = chunk(l + 1);
+                let hi = *ids.last().expect("k ≤ due, so no chunk is empty") as usize + 1;
+                let (procs, tail) = std::mem::take(&mut rest).split_at_mut(hi - lo);
                 rest = tail;
-                base = hi;
+                if lane.len() < ids.len() {
+                    lane.resize_with(ids.len(), || (Effects::new(), None));
+                }
                 scope.spawn(move || {
-                    for (i, &p) in lane.due.iter().enumerate() {
+                    for (&p, (eff, wake)) in ids.iter().zip(lane.iter_mut()) {
                         let idx = p as usize;
-                        let eff = &mut lane.eff[i];
-                        eff.reset();
-                        let inbox = if have_inbox && delivery.has_inbox(idx) {
-                            delivery.inbox(idx, pending)
-                        } else {
-                            Inbox::empty()
-                        };
-                        let proc = &mut chunk[idx - lo];
-                        proc.step(round, inbox, eff);
-                        lane.wake[i] = proc.next_wakeup(next).map(|w| w.max(next));
+                        *wake = step(&mut procs[idx - lo], idx, eff);
                     }
                 });
+                lo = hi;
             }
-        });
-    }
-
-    /// The adversary rules on every stepped process, strictly in ascending
-    /// pid order on the merge thread — the one irreducibly sequential
-    /// phase of the parallel pipeline. [`Adversary::intercept`] is stateful
-    /// (RNG draws, budget consumption) and its [`AdversaryCtx`] exposes the
-    /// live set and crash counter *as of earlier rulings this round*, so
-    /// interleaving it with anything would change what adversaries observe.
-    /// Everything the ctx of a later pid can see — retirement, live-set
-    /// movement, the crash/termination counters, recovery scheduling — is
-    /// applied here, immediately per ruling; everything it cannot see
-    /// (message ledgers, traces, outbound queues, the work ledger, wakeup
-    /// caches) is deferred to the parallel [`Lane::apply`] phase.
-    fn rule_fates(&mut self, lanes: &mut [Lane<P::Msg>], round: Round) {
-        for lane in lanes.iter_mut() {
-            for di in 0..lane.due.len() {
-                let idx = lane.due[di] as usize;
-                let pid = Pid::new(idx);
-                let ctx = AdversaryCtx {
-                    t: self.procs.len(),
-                    alive: AliveView::Set(&self.live),
-                    live: self.live.len(),
-                    crashes: self.metrics.crashes,
-                };
-                let fate = self.adversary.intercept(round, pid, &lane.eff[di], ctx);
-                match &fate {
-                    Fate::Survive | Fate::Omit(_) => {
-                        if lane.eff[di].is_terminated() {
-                            self.pset.retire(idx, true, round);
-                            self.live.remove(idx);
-                            self.metrics.terminations += 1;
-                        }
-                    }
-                    Fate::Crash(_) => {
-                        self.pset.retire(idx, false, round);
-                        self.live.remove(idx);
-                        self.metrics.crashes += 1;
-                    }
-                    Fate::CrashRecover { downtime, wipe, .. } => {
-                        self.pset.retire(idx, false, round);
-                        self.live.remove(idx);
-                        self.metrics.crashes += 1;
-                        let at = round.saturating_add(u128::from((*downtime).max(1)));
-                        self.revive.insert(idx as u32, (at, *wipe));
-                        self.next_revive = Some(self.next_revive.map_or(at, |r| r.min(at)));
-                    }
-                }
-                lane.fate.push(fate);
-            }
-        }
-    }
-
-    /// Applies every lane's fated effects in parallel (phase one of the
-    /// two-phase exchange): each worker owns its lane plus its contiguous
-    /// slices of the process-state columns, writing message counts, trace
-    /// events, outbound ops, destination-shard routes, and work units into
-    /// lane-local sinks. See [`Lane::apply`].
-    fn apply_lanes(&mut self, lanes: &mut [Lane<P::Msg>], round: Round, route_ops: bool) {
-        let t = self.procs.len();
-        let route_chunk = route_ops.then(|| t.div_ceil(self.shards));
-        let record = self.record;
-        let n = self.metrics.units.n();
-        let mut meta_rest = self.pset.meta.as_mut_slice();
-        let mut slot_rest = self.pset.slot.as_mut_slice();
-        let mut base = 0usize;
-        std::thread::scope(|scope| {
-            for lane in lanes.iter_mut() {
-                if lane.due.is_empty() {
-                    continue;
-                }
-                let lo = lane.due[0] as usize;
-                let hi = *lane.due.last().expect("nonempty chunk") as usize + 1;
-                let (_, tail) = std::mem::take(&mut meta_rest).split_at_mut(lo - base);
-                let (meta, tail) = tail.split_at_mut(hi - lo);
-                meta_rest = tail;
-                let (_, tail) = std::mem::take(&mut slot_rest).split_at_mut(lo - base);
-                let (slot, tail) = tail.split_at_mut(hi - lo);
-                slot_rest = tail;
-                base = hi;
-                scope.spawn(move || lane.apply(round, record, n, route_chunk, lo, meta, slot));
-            }
-        });
-    }
-
-    /// Folds the lane-local sinks into the engine ledgers at the round
-    /// barrier, in ascending lane order (phase two of the exchange). Lanes
-    /// cover ascending pid chunks and each sink preserves its lane's
-    /// emission order, so lane-order concatenation reproduces the
-    /// sequential engine's op table, trace, and counters exactly; the
-    /// routed op ids are rebased from lane-local to global as they land.
-    /// Each lane's work units go into the work ledger here, one bitset
-    /// probe per unit; the first lane holding a unit beyond `n` (so the
-    /// lowest offending pid, as on the sequential path) fails the round.
-    fn fold_lanes(
-        &mut self,
-        lanes: &mut [Lane<P::Msg>],
-        round: Round,
-        route_ops: bool,
-    ) -> Result<(), RunError> {
-        if route_ops {
-            if self.routes.len() < self.shards {
-                self.routes.resize_with(self.shards, Vec::new);
-            }
-            self.routes.iter_mut().for_each(Vec::clear);
-        }
-        for lane in lanes.iter_mut() {
-            if let Some((pid, unit)) = lane.bad_unit {
-                return Err(RunError::UnitOutOfRange { round, pid, unit, n: self.cfg.n });
-            }
-            let base = self.next_pending.len() as u32;
-            self.next_pending.append(&mut lane.out);
-            if route_ops {
-                for (k, bucket) in lane.route.iter_mut().enumerate() {
-                    self.routes[k].extend(bucket.drain(..).map(|i| i + base));
-                }
-            }
-            self.metrics.fold_effects(&mut lane.ledger);
-            self.metrics.work_total += lane.work_units.len() as u64;
-            for u in lane.work_units.drain(..) {
-                self.metrics.units.record_index(u as usize);
-            }
-            if self.record {
-                self.trace.append(&mut lane.trace);
-            }
-        }
-        self.routes_valid = route_ops;
-        Ok(())
-    }
-
-    /// Counts one performed unit and traces it; a unit beyond `n` fails
-    /// the run instead.
-    fn record_work(&mut self, round: Round, pid: Pid, unit: Unit) -> Result<(), RunError> {
-        self.metrics.record_work(unit).map_err(|unit| RunError::UnitOutOfRange {
-            round,
-            pid,
-            unit,
-            n: self.cfg.n,
+            lane0()
         })?;
-        if self.record {
-            self.trace.push(Event::Work { round, pid, unit });
+        for (l, lane) in lanes.iter_mut().enumerate().take(k - 1) {
+            for (&p, (eff, wake)) in chunk(l + 1).iter().zip(lane.iter_mut()) {
+                ruling.settle(Pid::new(p as usize), eff, *wake)?;
+            }
         }
         Ok(())
     }
+}
 
-    /// Applies the adversary's ruling to one stepped process: intercept,
-    /// fate application, metrics, tracing, and outbound queueing — the
-    /// sequential tail of a step. Always runs on the merge thread in
-    /// ascending pid order, which is what keeps sharded runs bit-identical
-    /// to sequential ones: adversary RNG draws, trace events, and message
-    /// queue order all replay the sequential engine's exactly.
+/// The engine state that the adversary's pid-order ruling writes, borrowed
+/// apart from the process table so lane 0 can settle while lanes 1..k−1
+/// step (see [`Engine::step_due`]).
+struct Ruling<'a, A, M> {
+    adversary: &'a mut A,
+    pset: &'a mut ProcSet,
+    live: &'a mut LiveSet,
+    metrics: &'a mut Metrics,
+    trace: &'a mut Trace,
+    next_pending: &'a mut Vec<FlightOp<M>>,
+    revive: &'a mut BTreeMap<u32, (Round, bool)>,
+    next_revive: &'a mut Option<Round>,
+    record: bool,
+    round: Round,
+    t: usize,
+    n: usize,
+}
+
+impl<A: Adversary<M>, M: Classify + Clone> Ruling<'_, A, M> {
+    /// Applies the adversary's ruling to one stepped process: the single
+    /// place where fates, counts, traces, message queueing and work are
+    /// applied. Called strictly in ascending pid order, because
+    /// [`Adversary::intercept`] is stateful (RNG draws, budgets) and its
+    /// [`AdversaryCtx`] shows the live set and crash count as of the
+    /// earlier rulings this round. `wake` is the process's post-step
+    /// wakeup, cached if the process stays alive.
     fn settle(
         &mut self,
-        round: Round,
         pid: Pid,
-        eff: &mut Effects<P::Msg>,
+        eff: &mut Effects<M>,
+        wake: Option<Round>,
     ) -> Result<(), RunError> {
-        let idx = pid.index();
+        let (round, idx) = (self.round, pid.index());
         let ctx = AdversaryCtx {
-            t: self.procs.len(),
-            alive: AliveView::Set(&self.live),
+            t: self.t,
+            alive: AliveView::Set(self.live),
             live: self.live.len(),
             crashes: self.metrics.crashes,
         };
         let fate = self.adversary.intercept(round, pid, eff, ctx);
-        // Copy out the recovery schedule (if any) before the match below
-        // borrows `fate`'s crash spec.
-        let recover_plan = match fate {
-            Fate::CrashRecover { downtime, wipe, .. } => Some((downtime.max(1), wipe)),
-            _ => None,
-        };
-
         if self.record {
             for tag in eff.notes() {
                 self.trace.push(Event::Note { round, pid, tag });
             }
         }
-
-        match fate {
-            Fate::Survive => {
-                if let Some(unit) = eff.work() {
-                    self.record_work(round, pid, unit)?;
-                }
-                let terminated = eff.is_terminated();
-                let mut out = Outbound {
-                    metrics: &mut self.metrics,
-                    trace: &mut self.trace,
-                    record: self.record,
-                    next_pending: &mut self.next_pending,
-                    round,
-                    route: None,
-                };
-                for op in eff.drain_sends() {
-                    out.deliver(pid, op.to, op.payload);
-                }
-                if terminated {
-                    self.pset.retire(idx, true, round);
-                    self.live.remove(idx);
-                    self.metrics.terminations += 1;
-                    if self.record {
-                        self.trace.push(Event::Terminate { round, pid });
-                    }
-                }
+        let (count_work, crashed) = match &fate {
+            Fate::Survive | Fate::Omit(_) => (true, false),
+            Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => (spec.count_work, true),
+        };
+        if let Some(unit) = eff.work().filter(|_| count_work) {
+            self.metrics.record_work(unit).map_err(|unit| RunError::UnitOutOfRange {
+                round,
+                pid,
+                unit,
+                n: self.n,
+            })?;
+            if self.record {
+                self.trace.push(Event::Work { round, pid, unit });
             }
-            Fate::Omit(ref filter) => {
-                // Send-omission: the process survives and everything but
+        }
+        let terminated = eff.is_terminated();
+        match &fate {
+            Fate::Survive => self.deliver_subset(pid, eff, &Deliver::All),
+            Fate::Omit(filter) => {
+                // Send omission: the process survives and everything but
                 // the filtered sends applies.
-                if let Some(unit) = eff.work() {
-                    self.record_work(round, pid, unit)?;
-                }
-                let terminated = eff.is_terminated();
-                let total = eff.send_count() as u64;
-                let before = self.metrics.messages;
-                let mut out = Outbound {
-                    metrics: &mut self.metrics,
-                    trace: &mut self.trace,
-                    record: self.record,
-                    next_pending: &mut self.next_pending,
-                    round,
-                    route: None,
-                };
-                out.deliver_crash_subset(pid, eff, filter);
+                let (total, before) = (eff.send_count() as u64, self.metrics.messages);
+                self.deliver_subset(pid, eff, filter);
                 let suppressed = total - (self.metrics.messages - before);
                 self.metrics.omissions += suppressed;
                 if self.record && suppressed > 0 {
                     self.trace.push(Event::Note { round, pid, tag: "fault:omit" });
                 }
-                if terminated {
-                    self.pset.retire(idx, true, round);
-                    self.live.remove(idx);
-                    self.metrics.terminations += 1;
-                    if self.record {
-                        self.trace.push(Event::Terminate { round, pid });
-                    }
-                }
             }
-            Fate::Crash(ref spec) | Fate::CrashRecover { ref spec, .. } => {
-                if spec.count_work {
-                    if let Some(unit) = eff.work() {
-                        self.record_work(round, pid, unit)?;
-                    }
-                }
-                let mut out = Outbound {
-                    metrics: &mut self.metrics,
-                    trace: &mut self.trace,
-                    record: self.record,
-                    next_pending: &mut self.next_pending,
-                    round,
-                    route: None,
-                };
-                out.deliver_crash_subset(pid, eff, &spec.deliver);
-                self.pset.retire(idx, false, round);
-                self.live.remove(idx);
-                self.metrics.crashes += 1;
-                if self.record {
-                    self.trace.push(Event::Crash { round, pid });
-                }
-                if let Some((downtime, wipe)) = recover_plan {
-                    let at = round.saturating_add(u128::from(downtime));
-                    self.revive.insert(idx as u32, (at, wipe));
-                    self.next_revive = Some(self.next_revive.map_or(at, |r| r.min(at)));
-                }
+            Fate::Crash(spec) | Fate::CrashRecover { spec, .. } => {
+                self.deliver_subset(pid, eff, &spec.deliver);
             }
+        }
+        if crashed {
+            self.pset.retire(idx, false, round);
+            self.live.remove(idx);
+            self.metrics.crashes += 1;
+            if self.record {
+                self.trace.push(Event::Crash { round, pid });
+            }
+            if let Fate::CrashRecover { downtime, wipe, .. } = fate {
+                let at = round.saturating_add(u128::from(downtime.max(1)));
+                self.revive.insert(idx as u32, (at, wipe));
+                *self.next_revive = Some(self.next_revive.map_or(at, |r| r.min(at)));
+            }
+        } else if terminated {
+            self.pset.retire(idx, true, round);
+            self.live.remove(idx);
+            self.metrics.terminations += 1;
+            if self.record {
+                self.trace.push(Event::Terminate { round, pid });
+            }
+        } else {
+            self.pset.set_wakeup(idx, wake);
         }
         Ok(())
     }
-}
 
-/// The per-round outbound-delivery context: everything queueing a send op
-/// needs (counters, optional tracing, the next-round in-flight buffer, and
-/// — on the parallel path — the destination-shard routing buckets of the
-/// two-phase exchange).
-struct Outbound<'a, M> {
-    metrics: &'a mut Metrics,
-    trace: &'a mut Trace,
-    record: bool,
-    next_pending: &'a mut Vec<FlightOp<M>>,
-    round: Round,
-    /// `(buckets, chunk)`: each queued op's id is appended to the bucket of
-    /// every destination shard its recipients intersect (shard = pid /
-    /// chunk, with `chunk = ⌈t/shards⌉` matching
-    /// [`DeliveryIndex::build_parallel`]). `None` on the sequential path.
-    route: Option<(&'a mut Vec<Vec<u32>>, usize)>,
-}
-
-impl<M: Classify> Outbound<'_, M> {
     /// Queues one surviving send op: bulk message accounting (O(1) per op)
     /// plus per-recipient trace events when tracing is on.
     fn deliver(&mut self, from: Pid, to: Recipients, payload: M) {
         self.metrics.record_messages(payload.class(), to.len() as u64);
         if self.record {
             for recipient in to.iter() {
-                self.trace.push(Event::Send {
-                    round: self.round,
-                    from,
-                    to: recipient,
-                    class: payload.class(),
-                });
-            }
-        }
-        if let Some((buckets, chunk)) = self.route.as_mut() {
-            let id = self.next_pending.len() as u32;
-            let (lo, hi) = match to {
-                Recipients::One(p) => (p.index(), p.index() + 1),
-                Recipients::Span { lo, hi } => (lo, hi),
-            };
-            if hi > lo {
-                for k in lo / *chunk..=(hi - 1) / *chunk {
-                    buckets[k].push(id);
-                }
+                let class = payload.class();
+                self.trace.push(Event::Send { round: self.round, from, to: recipient, class });
             }
         }
         self.next_pending.push(FlightOp { from, to, payload });
     }
 
-    /// Applies a crashing process's [`Deliver`] filter to its send ops. The
-    /// filter indexes messages in send order (spans expand in ascending pid
+    /// Applies a [`Deliver`] filter to a process's send ops. The filter
+    /// indexes messages in send order (spans expand in ascending pid
     /// order), exactly as the per-recipient representation did, so crash
-    /// semantics — and message counts — are unchanged. Ops are kept whole
-    /// or truncated wherever possible; only an arbitrary-subset filter that
-    /// fragments a span costs one payload clone per surviving *run* (never
-    /// per recipient).
-    fn deliver_crash_subset(
-        &mut self,
-        pid: Pid,
-        eff: &mut Effects<M>,
-        deliver: &crate::adversary::Deliver,
-    ) where
-        M: Clone,
-    {
-        use crate::adversary::Deliver;
-
+    /// and omission semantics — and message counts — are unchanged. Ops
+    /// are kept whole or truncated wherever possible; only an
+    /// arbitrary-subset filter that fragments a span costs one payload
+    /// clone per surviving *run* (never per recipient).
+    fn deliver_subset(&mut self, pid: Pid, eff: &mut Effects<M>, deliver: &Deliver) {
         let mut msg_idx = 0usize;
         for op in eff.drain_sends() {
             let len = op.to.len();
@@ -2149,38 +1487,26 @@ impl<M: Classify> Outbound<'_, M> {
                     }
                 }
                 Deliver::Subset(set) => {
-                    // Split the op into maximal contiguous runs of
-                    // recipients the adversary lets through.
-                    let mut runs: Vec<(usize, usize)> = Vec::new();
-                    for p in op.to.iter() {
-                        if set.contains(&p) {
-                            match runs.last_mut() {
-                                Some((_, hi)) if *hi == p.index() => *hi += 1,
-                                _ => runs.push((p.index(), p.index() + 1)),
-                            }
-                        }
-                    }
-                    let mut payload = Some(op.payload);
-                    for (ri, &(lo, hi)) in runs.iter().enumerate() {
-                        let to = if hi - lo == 1 {
-                            Recipients::One(Pid::new(lo))
-                        } else {
-                            Recipients::Span { lo, hi }
-                        };
-                        // One clone per surviving run of a fragmented span —
-                        // the last run moves the payload; never per
-                        // recipient.
-                        let m = if ri + 1 == runs.len() {
-                            payload.take().expect("moved once")
-                        } else {
-                            payload.as_ref().expect("present until last").clone()
-                        };
-                        self.deliver(pid, to, m);
-                    }
+                    coalesce_runs(
+                        op.to.iter().filter(|p| set.contains(p)),
+                        op.payload,
+                        |run, m| {
+                            self.deliver(pid, recipients(run), m);
+                        },
+                    );
                 }
             }
             msg_idx += len;
         }
+    }
+}
+
+/// The recipient set of a run of pids (a one-pid run is a unicast).
+fn recipients(run: Range<usize>) -> Recipients {
+    if run.len() == 1 {
+        Recipients::One(Pid::new(run.start))
+    } else {
+        Recipients::Span { lo: run.start, hi: run.end }
     }
 }
 

@@ -5,11 +5,19 @@
 //! `messages_by_class`, dead letters, and per-unit work multiplicities) to
 //! the production engine's CSR span delivery, over randomly drawn
 //! unicast/multicast patterns, crash schedules, and fast-forward gaps.
+//!
+//! The reference also models receive omission, consulting the adversary
+//! once per live (message, recipient) in send order, so it stays an
+//! independent check of the production engine's omission pre-pass and of
+//! its sharded stepping: the last proptest draws send- and receive-side
+//! omission windows as well as crash schedules, and runs the production
+//! engine at several shard counts.
 
 use doall::sim::{
     run, Adversary, AdversaryCtx, Classify, CrashSchedule, CrashSpec, Effects, Fate, Inbox,
     MemBudget, Metrics, Pid, Protocol, Report, Round, RunConfig, Status, Trace, Unit,
 };
+use doall::workload::Scenario;
 use proptest::prelude::*;
 
 /// A payload with two metric classes, so `messages_by_class` is exercised.
@@ -164,13 +172,17 @@ where
         if round > cfg.max_rounds {
             return None;
         }
-        // Deliver: naive per-recipient inbox build.
+        // Deliver: naive per-recipient inbox build; a receive-omission
+        // adversary rules on each live delivery in send order.
         let mut inboxes: Vec<Vec<(Pid, P::Msg)>> = vec![Vec::new(); t];
+        let filters = adversary.filters_deliveries();
         for (from, to, payload) in pending.drain(..) {
-            if alive[to.index()] {
-                inboxes[to.index()].push((from, payload));
-            } else {
+            if !alive[to.index()] {
                 metrics.dead_letters += 1;
+            } else if filters && adversary.omits_delivery(round, from, to) {
+                metrics.omissions += 1;
+            } else {
+                inboxes[to.index()].push((from, payload));
             }
         }
 
@@ -316,6 +328,22 @@ fn crash_schedule(t: usize, seed: u64) -> CrashSchedule {
     sched
 }
 
+/// The drawn adversary: `kind` 0 is [`crash_schedule`], 1 and 2 are a
+/// send- or receive-side [`Scenario::Omission`] window on a drawn process.
+fn drawn_adversary(kind: u8, t: usize, seed: u64) -> Box<dyn Adversary<Chat>> {
+    if kind == 0 {
+        return Box::new(crash_schedule(t, seed));
+    }
+    let h = mix(seed ^ 0x5EED);
+    let window = Scenario::Omission {
+        pid: h % t as u64,
+        send: kind == 1,
+        from: 1 + (h >> 16) % 40,
+        rounds: 1 + (h >> 32) % 80,
+    };
+    window.adversary::<Chat>()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
@@ -338,6 +366,30 @@ proptest! {
         prop_assert_eq!(&fast.statuses, &reference.statuses);
     }
 
+    /// The reference and the production engine at shard counts 1, 3 and 5
+    /// agree on the complete Report under crash schedules and under send-
+    /// and receive-side omission windows.
+    #[test]
+    fn engine_matches_reference_under_omission_at_every_shard_count(
+        t in 1usize..=10,
+        n in 1usize..=12,
+        seed in any::<u64>(),
+        kind in 0u8..3,
+    ) {
+        let cfg = RunConfig::new(n, 200_000);
+        let reference = run_reference(Chatter::procs(t, n, seed), drawn_adversary(kind, t, seed), cfg.clone())
+            .expect("reference run must complete");
+        for shards in [1usize, 3, 5] {
+            let report = run(
+                Chatter::procs(t, n, seed),
+                drawn_adversary(kind, t, seed),
+                cfg.clone().with_shards(shards),
+            ).expect("chatters always retire");
+            prop_assert_eq!(&report.metrics, &reference.metrics, "metrics at {} shards", shards);
+            prop_assert_eq!(&report.statuses, &reference.statuses, "statuses at {} shards", shards);
+        }
+    }
+
     /// Sanity on the generator itself: some drawn systems really do send
     /// multicasts and suffer crashes (the comparison is not vacuous).
     #[test]
@@ -352,5 +404,25 @@ proptest! {
             u64::from(report.metrics.crashes + report.metrics.terminations),
             8u64
         );
+    }
+}
+
+/// Sanity on the omission draws: both window kinds really suppress
+/// messages on some seeds, so the omission comparison is not vacuous.
+#[test]
+fn drawn_omission_windows_suppress_messages() {
+    for kind in [1u8, 2] {
+        let omitted: u64 = (0..32u64)
+            .map(|seed| {
+                let report = run(
+                    Chatter::procs(8, 8, seed),
+                    drawn_adversary(kind, 8, seed),
+                    RunConfig::new(8, 200_000),
+                )
+                .expect("chatters always retire");
+                report.metrics.omissions
+            })
+            .sum();
+        assert!(omitted > 0, "omission kind {kind} never suppressed a message");
     }
 }

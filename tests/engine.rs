@@ -402,3 +402,76 @@ fn unit_beyond_n_is_an_error_on_the_async_plane() {
         }
     }
 }
+
+/// Performs unit `me + 1` in round 1, then idles: process 3 terminates in
+/// round 2, process 2 turns purely reactive, and the rest wake every round
+/// without sending or working — a livelock only the watchdog can see.
+struct Idler {
+    me: usize,
+}
+
+impl Protocol for Idler {
+    type Msg = Quiet;
+    fn step(&mut self, round: Round, _: Inbox<'_, Quiet>, eff: &mut Effects<Quiet>) {
+        if round == 1u64 {
+            eff.perform(Unit::new(self.me + 1));
+        } else if self.me == 3 {
+            eff.terminate();
+        }
+    }
+    fn next_wakeup(&self, now: Round) -> Option<Round> {
+        (self.me != 2 || now == 1u64).then_some(now)
+    }
+}
+
+/// The watchdog trips `Stalled` once more than `stall_window` executed
+/// rounds pass without progress, and its diagnosis names the round, the
+/// last progress, the stuck processes and what each waits on — the same
+/// verdict with and without sharded stepping.
+#[test]
+fn idle_wakeups_trip_the_stall_watchdog() {
+    let mut verdicts = Vec::new();
+    for shards in [1, 3] {
+        let procs: Vec<Idler> = (0..4).map(|me| Idler { me }).collect();
+        let cfg = RunConfig::new(4, 1000).with_stall_window(5).with_shards(shards);
+        match run(procs, NoFailures, cfg).unwrap_err() {
+            RunError::Stalled { round, window, diagnosis, metrics } => {
+                // Work in round 1 and a termination in round 2 are the last
+                // progress; rounds 3..=8 are six idle rounds, one past the
+                // window.
+                assert_eq!((round, window), (Round::new(8), 5));
+                assert_eq!(diagnosis.round, Round::new(8));
+                assert_eq!(diagnosis.last_progress, Round::new(2));
+                assert_eq!(diagnosis.stalled, vec![Pid::new(0), Pid::new(1), Pid::new(2)]);
+                let wakeups = vec![
+                    (Pid::new(0), Some(Round::new(9))),
+                    (Pid::new(1), Some(Round::new(9))),
+                    (Pid::new(2), None),
+                ];
+                assert_eq!(diagnosis.wakeups, wakeups);
+                assert_eq!((diagnosis.pending_ops, diagnosis.pending_revivals), (0, 0));
+                assert_eq!((metrics.work_total, metrics.terminations), (4, 1));
+                verdicts.push((round, diagnosis, metrics));
+            }
+            other => panic!("shards {shards}: expected Stalled, got {other}"),
+        }
+    }
+    assert_eq!(verdicts[0], verdicts[1]);
+}
+
+/// A ping-pong pair that never works or retires until the last volley
+/// makes progress only by delivering: with a one-round window the
+/// watchdog must still let it finish, at every shard count alike.
+#[test]
+fn deliveries_alone_keep_the_stall_watchdog_quiet() {
+    let mut reports = Vec::new();
+    for shards in [1, 3] {
+        let cfg = RunConfig::new(0, 1000).with_stall_window(1).with_shards(shards);
+        let report = run(Player::pair(40, 0), NoFailures, cfg)
+            .unwrap_or_else(|e| panic!("shards {shards}: deliveries are progress, got {e}"));
+        assert_eq!(report.metrics.work_total, 0);
+        assert_eq!(report.metrics.messages, 41);
+        reports.push(report);
+    }
+    assert_eq!(reports[0], reports[1]);
+}

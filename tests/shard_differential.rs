@@ -3,9 +3,10 @@
 //! sequential engine's — metrics (totals, per-class counts, dead
 //! letters, per-unit work multiplicities), the full recorded trace, and
 //! final statuses. Sharding is purely a wall-clock knob (DESIGN.md
-//! §2.12): shards step disjoint pid ranges into private effect lanes,
-//! and the merge applies them in pid order, which is exactly the
-//! sequential visitation order.
+//! §2.13): the engine thread steps and settles the first chunk of each
+//! round's due list, worker threads step the other chunks into private
+//! effect buffers, and the engine thread settles those in pid order,
+//! which is exactly the sequential visitation order.
 //!
 //! Shard counts cover uneven splits (3, 5, 7, 13), powers of two
 //! (2, 16, 32), and more shards than every fixture has processes (t = 16
@@ -13,11 +14,11 @@
 //! shard).
 //!
 //! Beyond full-Report equality, the proptest at the bottom pins the
-//! *inbox-order* contract of the two-phase effect exchange (DESIGN.md
-//! §2.13): each recipient must observe exactly the `(sender, payload)`
-//! sequence the sequential engine delivers, in the same order, at every
-//! shard count — the parallel CSR build and the lane-bucketed route
-//! exchange may never reorder same-recipient traffic.
+//! *inbox-order* contract of the round pipeline (DESIGN.md §2.13): each
+//! recipient must observe exactly the `(sender, payload)` sequence the
+//! sequential engine delivers, in the same order, at every shard count —
+//! settling lanes and queueing their sends may never reorder
+//! same-recipient traffic.
 
 use doall::sim::{
     run, run_returning, Classify, CrashSchedule, CrashSpec, Effects, Inbox, NoFailures, Pid,
@@ -108,14 +109,15 @@ fn fast_forward_heavy_c_matches_sequential_across_shard_counts() {
 }
 
 /// Lockstep broadcasts after every unit — the densest message plane the
-/// baselines offer, so the per-shard effect lanes carry real load.
+/// baselines offer, so the stepping lanes' effect buffers carry real
+/// load.
 #[test]
 fn lockstep_broadcast_storm_matches_sequential_across_shard_counts() {
     assert_shard_invariant(|| Lockstep::processes(128, 16).unwrap(), &Scenario::FailureFree, 128);
 }
 
 /// The trigger-based random adversary consumes its RNG stream in
-/// interception order; the sharded engine intercepts on the merge thread
+/// interception order; the sharded engine intercepts on the engine thread
 /// in pid order, so the stream — and therefore who crashes — must be
 /// bit-identical at every shard count.
 #[test]
@@ -148,8 +150,8 @@ fn fault_models_match_sequential_across_shard_counts() {
 /// chunk sizes are 8 (2 shards), 6 (3), 4 (5), 3 (7), 2 (13), 1 (16/32),
 /// so the pids below sit on a first-pid-of-shard or last-pid-of-shard
 /// seam for at least one tested shard count. A send- or receive-side
-/// filter applied exactly at a seam is where a lane- or range-off-by-one
-/// in the parallel delivery build would surface.
+/// filter applied exactly at a seam is where an off-by-one in the step
+/// chunk split or the receive-omission pre-pass would surface.
 #[test]
 fn boundary_omissions_match_sequential_across_shard_counts() {
     for pid in [0u64, 3, 4, 6, 7, 8, 11, 12, 15] {
@@ -163,8 +165,8 @@ fn boundary_omissions_match_sequential_across_shard_counts() {
 /// A broadcast storm (Lockstep broadcasts to everyone after every unit)
 /// with an omission window at a shard seam: every op is a t-wide span
 /// crossing all shard boundaries, while the filter clips one boundary
-/// pid's traffic — the densest case for the per-shard CSR count/fill
-/// passes and the receive-side filtered build.
+/// pid's traffic — the densest case for the CSR count/fill passes and
+/// the receive-omission pre-pass that cuts spans into runs.
 #[test]
 fn broadcast_storm_with_boundary_omission_matches_sequential() {
     for pid in [7u64, 8] {
@@ -197,7 +199,7 @@ impl Classify for Ping {
 /// `log` as `(sender, payload)` in iteration order. Each round it emits a
 /// hash-drawn mix of unicasts, boundary-crossing multicasts, and
 /// *same-recipient payload pairs* (two sends to one pid in one round —
-/// the case a destination-bucketed exchange could swap), then terminates
+/// the case a reordering settle or inbox build could swap), then terminates
 /// after `rounds` actions.
 #[derive(Clone)]
 struct Recorder {
@@ -239,7 +241,7 @@ impl Protocol for Recorder {
             }
             _ => {
                 // Two payloads to the same recipient in one round: their
-                // relative order is the sharpest thing the exchange must
+                // relative order is the sharpest thing the pipeline must
                 // preserve.
                 eff.send(to, Ping(h >> 24));
                 eff.send(to, Ping(h >> 25));
@@ -268,7 +270,7 @@ where
 }
 
 /// Up to `crashes` scripted crashes with assorted delivery filters, so the
-/// sharded run also exercises the crash-clipped exchange paths.
+/// sharded run also exercises the crash-clipped delivery paths.
 fn recorder_schedule(t: usize, seed: u64, crashes: u64) -> CrashSchedule {
     let mut sched = CrashSchedule::new();
     for c in 0..crashes {
@@ -286,11 +288,11 @@ fn recorder_schedule(t: usize, seed: u64, crashes: u64) -> CrashSchedule {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The two-phase effect exchange preserves each recipient's
+    /// The round pipeline preserves each recipient's
     /// `(sender, payload)` inbox sequence exactly: at every shard count
     /// the receipt logs — not just the aggregate Report — match the
-    /// sequential engine's, under no-failure runs (the routed parallel
-    /// CSR build) and under scripted crashes (the clipped paths).
+    /// sequential engine's, under no-failure runs (whole ops) and under
+    /// scripted crashes (the clipped paths).
     #[test]
     fn two_phase_exchange_preserves_per_recipient_order(
         t in 8usize..=28,
